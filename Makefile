@@ -30,13 +30,10 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzExactness -fuzztime 20s
 	$(GO) test ./internal/lrutree -run '^$$' -fuzz FuzzFastEquivalence -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzShardBlockStream -fuzztime 20s
-	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzIngestShards -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzFoldBlockStream -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzSpanEquivalence -fuzztime 20s
 	$(GO) test ./internal/refsim -run '^$$' -fuzz FuzzKindStreamWrite -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDinCorrupt -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzBinCorrupt -fuzztime 20s
-	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzCheckpointResume -fuzztime 20s
-	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzCheckpointUnmarshal -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzStreamUnmarshal -fuzztime 20s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzResultUnmarshal -fuzztime 20s

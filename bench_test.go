@@ -297,8 +297,8 @@ func BenchmarkDecodeLadder(b *testing.B) {
 	}
 }
 
-// benchDinTexts caches each workload's .din encoding for the ingest
-// benchmarks.
+// benchDinTexts caches each workload's .din encoding for the .din
+// decode benchmarks.
 var benchDinTexts = map[string][]byte{}
 
 func benchDinText(b *testing.B, app workload.App) []byte {
@@ -321,39 +321,14 @@ func benchDinText(b *testing.B, app workload.App) []byte {
 	return text
 }
 
-// benchIngestLog is the shard level the ingest benchmarks build (8
+// benchIngestLog is the shard level BenchmarkIngestSerial builds (8
 // substreams, the widest fan-out the shard benchmarks track).
 const benchIngestLog = 3
 
-// BenchmarkIngestShards measures the decode → shard ingest pipeline on
-// .din text: chunk-parallel parsing and run compression feeding
-// per-shard appenders, producing the parent stream and its 2^3-shard
-// partition in one pass. blocks/s is the end-to-end decode→appender
-// throughput (block references ingested per second) scripts/bench.sh
-// records per workload in BENCH_core.json; compare
-// BenchmarkIngestSerial, the materialize-then-shard serial path over
-// the same bytes.
-func BenchmarkIngestShards(b *testing.B) {
-	for _, app := range benchAccessApps {
-		b.Run(app.Name, func(b *testing.B) {
-			text := benchDinText(b, app)
-			var accesses uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ss, err := trace.IngestDinShards(context.Background(), bytes.NewReader(text), benchAccessOpt.BlockSize, benchIngestLog, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				accesses = ss.Accesses()
-			}
-			b.ReportMetric(float64(accesses)*float64(b.N)/b.Elapsed().Seconds(), "blocks/s")
-		})
-	}
-}
-
-// BenchmarkIngestSerial is the serial baseline for the pipeline: one
-// goroutine decodes the same .din bytes, materializes the block
+// BenchmarkIngestSerial measures the path every sharded tool takes on
+// .din text: one goroutine decodes the bytes, materializes the block
 // stream, then partitions it with the two-pass ShardBlockStream walk.
+// blocks/s is block references decoded and partitioned per second.
 func BenchmarkIngestSerial(b *testing.B) {
 	for _, app := range benchAccessApps {
 		b.Run(app.Name, func(b *testing.B) {

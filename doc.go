@@ -86,24 +86,23 @@
 //
 // # Pipeline architecture: result cache? → store? → decode once → fold → shard → engine → stitch
 //
-// A fully sharded run never materializes the raw trace and never walks
-// it twice. The ingest pipeline (trace.IngestShards / IngestDinShards /
-// IngestFileShards) decodes the trace in chunks — for .din text the
-// decode itself is chunk-parallel, the byte stream cut at line
-// boundaries and parsed by workers — run-compresses every chunk in
-// parallel, and feeds per-shard BlockStream appenders directly, with a
-// serial boundary-merge step applying the exact per-access run
-// semantics where chunks meet. The resulting parent stream and shard
-// partition are bit-identical — including uint32 run-overflow splits —
-// to the serial materialize-then-shard path (equivalence- and
-// fuzz-tested), so every downstream exactness argument carries over
-// unchanged.
+// A run never materializes the raw trace and never walks it twice.
+// The default decode is the serial reference,
+// trace.MaterializeBlockStream: one batched pass run-compresses the
+// trace into the finest-rung BlockStream. Sharding is a derived view,
+// not a second decoder: trace.ShardBlockStream partitions a
+// materialized (or folded, or cache-loaded) stream into its 2^S
+// set-substreams in O(runs), bit-identical — including uint32
+// run-overflow splits — to partitioning the raw accesses (equivalence-
+// and fuzz-tested), so every downstream exactness argument carries
+// over unchanged. The one chunk-parallel decoder is the span pipeline
+// of the streaming tier below.
 //
 // The block-size axis of a design space rides on that single decode:
-// explore.Run ingests the trace once at the space's finest block size
-// and fold-derives every coarser rung (re-sharding each folded stream
-// with the O(runs) ShardBlockStream walk when sharding), and
-// sweep.RunCells shares one folded ladder per trace across its cells —
+// explore.Run decodes the trace once at the space's finest block size
+// and fold-derives every coarser rung (partitioning each rung with the
+// O(runs) ShardBlockStream walk when sharding), and sweep.RunCells
+// shares one folded ladder per trace across its cells —
 // both frontends read the raw trace exactly once per run no matter how
 // many block sizes the space spans, and both record the provenance
 // (explore.Result.Decodes/Folds, sweep.Cell.StreamFolded).
@@ -111,26 +110,26 @@
 // # The streaming tier: pipelined replay in bounded memory
 //
 // For traces too large to materialize — or whenever decode latency
-// should overlap simulation — the same pipeline runs span by span:
-// trace.StreamSpans (and StreamDinSpans / StreamFileSpans) delivers
-// the run-compressed stream as a bounded, backpressured channel of
-// spans, each span a self-contained BlockStream slice with the exact
-// boundary-merge semantics applied where chunks meet, so the
-// concatenation of the spans is bit-identical — run splits, kind
-// channel and uint32 overflow handling included — to the materialized
-// stream (FuzzSpanEquivalence holds the two shapes together). The
+// should overlap simulation — the package's one chunk-parallel decoder
+// runs span by span: trace.StreamSpans (and StreamDinSpans /
+// StreamFileSpans) cuts the input into chunks (for .din text at line
+// boundaries, parsed by workers), run-compresses every chunk in
+// parallel, and delivers the run-compressed stream as a bounded,
+// backpressured channel of spans, each span a self-contained
+// BlockStream slice with the exact per-access run semantics applied
+// where chunks meet, so the concatenation of the spans is
+// bit-identical — run splits, kind channel and uint32 overflow handling
+// included — to the materialized stream (FuzzSpanEquivalence holds the
+// two shapes together). The
 // pipeline enforces SpanOptions.MemBytes as a hard bound on resident
 // decoded spans (ResidentBound reports it; the replay benchmarks
 // record it as peak_resident_bytes), overlaps the chunk-parallel
-// decode with the consumer, honours context cancellation, and can
-// checkpoint at span boundaries (CheckpointEvery / ResumeStreamSpans,
-// same DCP1 format as the ingest tier) for exact resume. The
+// decode with the consumer, and honours context cancellation. The
 // incremental trace.LadderFolder folds each arriving span to every
 // rung of a block-size ladder on the fly, so the whole design space
 // still rides one decode; engines accumulate spans through the same
-// SimulateStream seam (engine.ReplayPipeline / explore's streamed
-// tier), with results bit-identical to the phased
-// materialize-then-replay path. The CLIs expose the tier as
+// SimulateStream seam (one call per span, in order), with results
+// bit-identical to the phased materialize-then-replay path. The CLIs expose the tier as
 // -stream-mem BYTES (0 = materialize; mutually exclusive with -shards,
 // whose partitions need the whole stream resident), a cold streamed
 // pass publishes the finest rung to the artifact store without
@@ -144,11 +143,11 @@
 //
 // The stream's run compression drops request kinds by default — no
 // replacement policy consults them — but the pipeline can carry them:
-// trace.MaterializeBlockStreamWithKinds and IngestShardsWithKinds
-// populate an optional Kinds column (trace.KindRun: per-kind weights
+// trace.MaterializeBlockStreamWithKinds and the span pipeline's Kinds
+// option populate an optional Kinds column (trace.KindRun: per-kind weights
 // plus the leading-store count and first non-store kind of each run)
 // whose ID and run columns are bit-identical to the kind-free stream,
-// and every stage — fold, shard, chunked ingest with its boundary
+// and every stage — fold, shard, chunked span decode with its boundary
 // merges and uint32 overflow splits — preserves it exactly (fuzzed
 // alongside the kind-free invariants). A write-policy reference replay
 // (refsim.NewSim / NewShardedSim, the write-back/write-through ×
@@ -174,7 +173,7 @@
 // artifact store (package store): the finest-rung stream a run
 // materializes is published as a self-describing DBS1 blob
 // (trace.BlockStream.MarshalBinary / WriteTo, CRC-32-sealed, sharing
-// its column codec with the DCP1 checkpoint format), keyed by the
+// its column codec with the DRS1 result blobs), keyed by the
 // SHA-256 of the trace's content identity plus the block size, kind
 // flag and format version. A later run with the same identity loads
 // the stream in O(runs) — zero trace decodes, results bit-identical —

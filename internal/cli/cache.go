@@ -29,11 +29,12 @@ func Dew(ctx context.Context, env Env, args []string) error {
 //	dew cache stats  — what is on disk, split by entry kind (decoded
 //	                   streams vs finished results), plus this
 //	                   process's hit/miss counters
-//	dew cache gc     — remove quarantined and abandoned temp files,
-//	                   then evict least-recently-used entries of either
-//	                   kind down to -max-bytes (0 keeps every live
-//	                   entry), reporting files removed and bytes
-//	                   reclaimed
+//	dew cache gc     — remove quarantined files and temp files over an
+//	                   hour old (younger ones may be another process's
+//	                   publish in flight), then evict least-recently-used
+//	                   entries of either kind down to -max-bytes (0 keeps
+//	                   every live entry), reporting files removed and
+//	                   bytes reclaimed
 //	dew cache clear  — remove everything
 func cacheCmd(ctx context.Context, env Env, args []string) error {
 	if len(args) == 0 {

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestDewSimCacheWarm: a cold dewsim run decodes and publishes, the
@@ -182,8 +183,13 @@ func TestDewCacheSubcommand(t *testing.T) {
 	if _, _, err := run(t, DewSim, "-cache", dir, "-app", "CJPEG", "-n", "4000", "-maxlog", "3"); err != nil {
 		t.Fatal(err)
 	}
-	// Plant junk for gc.
-	if err := os.WriteFile(filepath.Join(dir, "tmp-orphan"), []byte("x"), 0o644); err != nil {
+	// Plant junk for gc: a temp file old enough to count as abandoned.
+	orphan := filepath.Join(dir, "tmp-orphan")
+	if err := os.WriteFile(orphan, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-24 * time.Hour)
+	if err := os.Chtimes(orphan, old, old); err != nil {
 		t.Fatal(err)
 	}
 	out, _, err := run(t, Dew, "cache", "stats", "-cache", dir)

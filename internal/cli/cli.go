@@ -163,13 +163,10 @@ func engineFlagDoc() string {
 	return fmt.Sprintf("simulation engine: %s", strings.Join(engine.Names(), ", "))
 }
 
-// ingestShards resolves the trace flags into a sharded stream via the
-// one-pass decode → shard ingest pipeline (chunk-parallel for .din
-// files).
-func (tf traceFlags) ingestShards(ctx context.Context, blockSize, log int) (*trace.ShardStream, error) {
-	if *tf.traceFile != "" {
-		return trace.IngestFileShards(ctx, *tf.traceFile, blockSize, log, 0)
-	}
+// materialize decodes the selected trace into the run-compressed stream
+// at blockSize, with the kind-preserving channel when kinds is set (for
+// write-policy and per-kind consumers).
+func (tf traceFlags) materialize(blockSize int, kinds bool) (*trace.BlockStream, error) {
 	r, closer, err := tf.open()
 	if err != nil {
 		return nil, err
@@ -177,24 +174,10 @@ func (tf traceFlags) ingestShards(ctx context.Context, blockSize, log int) (*tra
 	if closer != nil {
 		defer closer.Close()
 	}
-	return trace.IngestShards(ctx, r, blockSize, log, 0)
-}
-
-// ingestShardsWithKinds is ingestShards with the kind-preserving
-// channel carried through the pipeline (for write-policy and per-kind
-// consumers).
-func (tf traceFlags) ingestShardsWithKinds(ctx context.Context, blockSize, log int) (*trace.ShardStream, error) {
-	if *tf.traceFile != "" {
-		return trace.IngestFileShardsWithKinds(ctx, *tf.traceFile, blockSize, log, 0)
+	if kinds {
+		return trace.MaterializeBlockStreamWithKinds(r, blockSize)
 	}
-	r, closer, err := tf.open()
-	if err != nil {
-		return nil, err
-	}
-	if closer != nil {
-		defer closer.Close()
-	}
-	return trace.IngestShardsWithKinds(ctx, r, blockSize, log, 0)
+	return trace.MaterializeBlockStream(r, blockSize)
 }
 
 // parseWritePolicy maps the -write flag's spellings; "" is the

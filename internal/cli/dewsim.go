@@ -22,8 +22,8 @@ import (
 
 // DewSim runs one DEW pass: exact simulation of every power-of-two set
 // count (plus direct-mapped results) for one (associativity, block size)
-// pair in a single pass over the trace. Cancelling ctx stops the
-// sharded ingest at chunk granularity and a sharded replay at shard
+// pair in a single pass over the trace. Cancelling ctx stops a
+// streamed decode at chunk granularity and a sharded replay at shard
 // granularity; the monolithic replay checks ctx between passes.
 func DewSim(ctx context.Context, env Env, args []string) error {
 	fs := flag.NewFlagSet("dewsim", flag.ContinueOnError)
@@ -37,7 +37,7 @@ func DewSim(ctx context.Context, env Env, args []string) error {
 		policy   = fs.String("policy", "FIFO", "replacement policy: FIFO (DEW's target) or LRU")
 		engName  = fs.String("engine", "dew", engineFlagDoc())
 		counters = fs.Bool("counters", false, "print DEW property counters (runs the instrumented per-access pass)")
-		shards   = fs.Int("shards", 1, "run the pass set-sharded across this many parallel trees (1 = off, 0 = auto from GOMAXPROCS); counter-free, incompatible with -counters and ablations")
+		shards   = fs.Int("shards", 1, "run the pass set-sharded across this many parallel trees, each rung partitioned from the one decoded stream (1 = off, 0 = auto from GOMAXPROCS); counter-free, incompatible with -counters and ablations")
 		csv      = fs.Bool("csv", false, "emit results as CSV instead of an aligned table")
 		noMRA    = fs.Bool("no-mra", false, "ablation: disable Property 2 (MRA cut-off)")
 		noWave   = fs.Bool("no-wave", false, "ablation: disable Property 3 (wave pointers)")
@@ -149,12 +149,12 @@ func DewSim(ctx context.Context, env Env, args []string) error {
 		mode = fmt.Sprintf("single instrumented pass, %v", pol)
 	} else {
 		// Engine fast path: decode the trace exactly once — into the
-		// run-compressed stream at the finest requested block size
-		// (via the one-pass decode → shard ingest pipeline when
-		// sharding) — fold-derive every coarser rung of the block
-		// ladder from it, and replay each rung through the requested
-		// engine. Ingest and folding are timed here — unlike the
-		// sweep, this tool has no second consumer to amortize them.
+		// run-compressed stream at the finest requested block size —
+		// fold-derive every coarser rung of the block ladder from it,
+		// partition each rung when sharding, and replay each rung
+		// through the requested engine. Decode and folding are timed
+		// here — unlike the sweep, this tool has no second consumer to
+		// amortize them.
 		specFor := func(b int) engine.Spec {
 			return engine.Spec{
 				MinLogSets: *minLog, MaxLogSets: *maxLog,
@@ -163,7 +163,7 @@ func DewSim(ctx context.Context, env Env, args []string) error {
 			}
 		}
 		// Fail fast on a bad spec or engine/policy combination before
-		// paying for the trace ingest (engine construction is cheap —
+		// paying for the trace decode (engine construction is cheap —
 		// the arenas build lazily on first replay).
 		for _, b := range blockLadder {
 			if _, err := engine.New(*engName, specFor(b)); err != nil {
@@ -332,81 +332,45 @@ func DewSim(ctx context.Context, env Env, args []string) error {
 			}
 			return renderDewSim(env, *csv, *counters, results, accesses, mode, sim, elapsed, traffics)
 		}
-		var ladder map[int]*trace.BlockStream
-		shardStreams := map[int]*trace.ShardStream{}
-		ingest := tf.ingestShards
-		materialize := trace.MaterializeBlockStream
-		if writeSim {
-			// The write-policy replay folds repeated-block runs per
-			// write/alloc policy from the per-run kind records, so the
-			// stream must preserve them; the ID and run columns are
-			// identical either way.
-			ingest = tf.ingestShardsWithKinds
-			materialize = trace.MaterializeBlockStreamWithKinds
+		// The write-policy replay folds repeated-block runs per
+		// write/alloc policy from the per-run kind records, so the stream
+		// must preserve them; the ID and run columns are identical either
+		// way.
+		base, cacheHit, err := materializeCached(ctx, cacheStore, cacheKey, blockLadder[0], writeSim,
+			func(context.Context) (*trace.BlockStream, error) {
+				return tf.materialize(blockLadder[0], writeSim)
+			})
+		if err != nil {
+			return err
 		}
+		ladder, err := trace.FoldLadder(base, blockLadder)
+		if err != nil {
+			return err
+		}
+		var shardStreams map[int]*trace.ShardStream
 		if *shards > 1 {
+			// Only the finest unsharded stream is decoded (and stored):
+			// every rung's partition derives from its stream in O(runs).
 			log := trace.ShardLog(*shards, *maxLog)
-			var ss *trace.ShardStream
-			base, cacheHit, err := materializeCached(ctx, cacheStore, cacheKey, blockLadder[0], writeSim,
-				func(ctx context.Context) (*trace.BlockStream, error) {
-					s, ierr := ingest(ctx, blockLadder[0], log)
-					if ierr != nil {
-						return nil, ierr
-					}
-					ss = s
-					return s.Source, nil
-				})
-			if err != nil {
-				return err
-			}
-			if ss == nil {
-				// Cache hit (or a concurrent caller's decode): only the
-				// finest unsharded stream is stored — re-derive the
-				// partition, O(runs).
-				if ss, err = trace.ShardBlockStream(base, log); err != nil {
-					return err
-				}
-			}
-			if ladder, err = trace.FoldLadder(base, blockLadder); err != nil {
-				return err
-			}
-			shardStreams[blockLadder[0]] = ss
-			for _, b := range blockLadder[1:] {
+			shardStreams = make(map[int]*trace.ShardStream, len(blockLadder))
+			for _, b := range blockLadder {
 				if shardStreams[b], err = trace.ShardBlockStream(ladder[b], log); err != nil {
 					return err
 				}
 			}
+			n := shardStreams[blockLadder[0]].NumShards()
 			if len(blockLadder) == 1 {
 				mode = fmt.Sprintf("single %s pass sharded across %d substreams (%s), %v",
-					*engName, ss.NumShards(), decodeNote(cacheHit, 0), pol)
+					*engName, n, decodeNote(cacheHit, 0), pol)
 			} else {
 				mode = fmt.Sprintf("%d %s passes sharded across %d substreams over a fold-derived block ladder (%s), %v",
-					len(blockLadder), *engName, ss.NumShards(), decodeNote(cacheHit, len(blockLadder)-1), pol)
+					len(blockLadder), *engName, n, decodeNote(cacheHit, len(blockLadder)-1), pol)
 			}
+		} else if len(blockLadder) == 1 {
+			mode = fmt.Sprintf("single %s stream pass (%s), %v", *engName, decodeNote(cacheHit, 0), pol)
 		} else {
-			base, cacheHit, err := materializeCached(ctx, cacheStore, cacheKey, blockLadder[0], writeSim,
-				func(context.Context) (*trace.BlockStream, error) {
-					r, closer, err := tf.open()
-					if err != nil {
-						return nil, err
-					}
-					if closer != nil {
-						defer closer.Close()
-					}
-					return materialize(r, blockLadder[0])
-				})
-			if err != nil {
-				return err
-			}
-			if ladder, err = trace.FoldLadder(base, blockLadder); err != nil {
-				return err
-			}
-			if len(blockLadder) == 1 {
-				mode = fmt.Sprintf("single %s stream pass (%s), %v", *engName, decodeNote(cacheHit, 0), pol)
-			} else {
-				mode = fmt.Sprintf("%d %s stream passes over a fold-derived block ladder (%s), %v",
-					len(blockLadder), *engName, decodeNote(cacheHit, len(blockLadder)-1), pol)
-			}
+			mode = fmt.Sprintf("%d %s stream passes over a fold-derived block ladder (%s), %v",
+				len(blockLadder), *engName, decodeNote(cacheHit, len(blockLadder)-1), pol)
 		}
 		cachedRungs := 0
 		for i, b := range blockLadder {

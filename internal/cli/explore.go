@@ -24,7 +24,7 @@ func Explore(ctx context.Context, env Env, args []string) error {
 	fs.SetOutput(env.Stderr)
 	var (
 		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel DEW passes")
-		shards  = fs.Int("shards", 1, "run each DEW pass set-sharded with this fan-out instead of parallelizing across passes (1 = off, 0 = auto from GOMAXPROCS)")
+		shards  = fs.Int("shards", 1, "run each DEW pass set-sharded with this fan-out instead of parallelizing across passes, each rung partitioned from the one decoded stream (1 = off, 0 = auto from GOMAXPROCS)")
 		maxLogS = fs.Int("maxlog-sets", 14, "largest set count as log2")
 		maxLogB = fs.Int("maxlog-block", 6, "largest block size as log2 bytes")
 		maxLogA = fs.Int("maxlog-assoc", 4, "largest associativity as log2")

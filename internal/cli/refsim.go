@@ -20,8 +20,8 @@ import (
 // Dinero IV role: one (sets, assoc, block, policy) combination per run,
 // full statistics including per-kind counts and write-policy traffic.
 // With -shards ≥ 2 the replay instead runs the sharded reference
-// engine over kind-preserving set-substreams built by the decode →
-// shard ingest pipeline; the write/alloc axes and the full statistics
+// engine over kind-preserving set-substreams partitioned from the
+// decoded stream; the write/alloc axes and the full statistics
 // set work identically there, because the kind channel preserves
 // exactly the per-run structure a write-policy replay observes.
 func RefSim(ctx context.Context, env Env, args []string) error {
@@ -35,7 +35,7 @@ func RefSim(ctx context.Context, env Env, args []string) error {
 		wp        = fs.String("write", "write-back", "write policy: write-back (wb) or write-through (wt)")
 		alloc     = fs.String("alloc", "write-allocate", "allocation policy: write-allocate (wa) or no-write-allocate (nwa)")
 		sbytes    = fs.Int("store-bytes", 4, "store width in bytes charged for write-through and no-write-allocate traffic")
-		shards    = fs.Int("shards", 1, "replay this many set-substreams in parallel over the kind-preserving stream (1 = off, 0 = auto from GOMAXPROCS)")
+		shards    = fs.Int("shards", 1, "replay this many set-substreams in parallel, partitioned from the decoded kind-preserving stream (1 = off, 0 = auto from GOMAXPROCS)")
 	)
 	cacheDir := addCacheFlag(fs)
 	streamMemStr := addStreamMemFlag(fs)
@@ -202,8 +202,8 @@ func refSimStreamed(ctx context.Context, env Env, tf traceFlags, opts refsim.Opt
 	return nil
 }
 
-// refSimSharded is the -shards ≥ 2 path: ingest the trace straight into
-// a kind-preserving shard partition (one pass, chunk-parallel decode)
+// refSimSharded is the -shards ≥ 2 path: materialize the
+// kind-preserving stream, partition it into set-substreams in O(runs),
 // and replay it through the sharded write-policy reference engine. The
 // shard count resolves through the same trace.ShardLog rounding every
 // -shards knob uses, capped at the configuration's set count;
@@ -211,7 +211,7 @@ func refSimStreamed(ctx context.Context, env Env, tf traceFlags, opts refsim.Opt
 // replacement, whose decomposition is not exact) fall back to the
 // exact monolithic stream replay inside the engine. With an artifact
 // cache, the kind-preserving finest stream is loaded instead of
-// ingested when present (the shard partition re-derives in O(runs)).
+// decoded when present.
 func refSimSharded(ctx context.Context, env Env, tf traceFlags, opts refsim.Options, policy cache.Policy, shards int, cacheDir string) error {
 	cfg := opts.Config
 	// shards ≥ 2 here, so the shared rounding rule always yields a
@@ -250,23 +250,16 @@ func refSimSharded(ctx context.Context, env Env, tf traceFlags, opts refsim.Opti
 		}
 	}
 	start := time.Now()
-	var ss *trace.ShardStream
 	base, cacheHit, err := materializeCached(ctx, cacheStore, cacheKey, cfg.BlockSize, true,
-		func(ctx context.Context) (*trace.BlockStream, error) {
-			s, ierr := tf.ingestShardsWithKinds(ctx, cfg.BlockSize, log)
-			if ierr != nil {
-				return nil, ierr
-			}
-			ss = s
-			return s.Source, nil
+		func(context.Context) (*trace.BlockStream, error) {
+			return tf.materialize(cfg.BlockSize, true)
 		})
 	if err != nil {
 		return err
 	}
-	if ss == nil {
-		if ss, err = trace.ShardBlockStream(base, log); err != nil {
-			return err
-		}
+	ss, err := trace.ShardBlockStream(base, log)
+	if err != nil {
+		return err
 	}
 	ingested := time.Since(start)
 

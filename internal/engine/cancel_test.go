@@ -17,7 +17,7 @@ func TestReplayCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := trace.IngestShards(context.Background(), tr.NewSliceReader(), 16, 2, 4)
+	ss, err := trace.ShardBlockStream(bs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,16 +10,16 @@
 // run-compressed trace.BlockStream monolithically, SimulateSharded
 // consumes a trace.ShardStream with the pass's internal parallelism
 // fanned out across the partition's substreams. How the stream came to
-// be is not the engine's concern — a directly materialized stream, a
-// fold-derived rung of a block-size ladder (trace.FoldBlockStream) and
-// a pipeline-ingested shard partition are bit-identical inputs, so the
-// frontends choose the cheapest construction and the engine contract
-// only sees BlockSize-consistent columns. The same property makes
-// SimulateStream the streaming seam: feeding the spans of a bounded
-// trace.StreamPipeline one by one (SimulateSpans / ReplayPipeline)
-// accumulates results bit-identical to one whole-stream call, so the
-// design-space layers replay traces larger than RAM with decode
-// overlapped against simulation. Both replay kinds accumulate
+// be is not the engine's concern — a directly materialized stream and
+// a fold-derived rung of a block-size ladder (trace.FoldBlockStream)
+// are bit-identical inputs, and so are the shard partitions derived
+// from them, so the frontends choose the cheapest construction and the
+// engine contract only sees BlockSize-consistent columns. The same
+// property makes SimulateStream the streaming seam: feeding the spans
+// of a bounded trace.StreamPipeline one by one accumulates results
+// bit-identical to one whole-stream call, so the design-space layers
+// replay traces larger than RAM with decode overlapped against
+// simulation. Both replay kinds accumulate
 // into the same per-configuration results; Reset rewinds to the
 // freshly built state reusing the arenas. Replays of either kind must be
 // bit-identical: an engine that cannot decompose a configuration

@@ -288,7 +288,7 @@ func TestRefEngineWriteSim(t *testing.T) {
 		t.Errorf("stream traffic = %+v, want %+v", gotT, wantT)
 	}
 
-	ss, err := trace.IngestShardsWithKinds(context.Background(), tr.NewSliceReader(), block, 2, 4)
+	ss, err := trace.ShardBlockStream(bs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,14 +2,12 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"dew/internal/cache"
-	"dew/internal/leakcheck"
 	"dew/internal/refsim"
 	"dew/internal/trace"
 	"dew/internal/workload"
@@ -102,10 +100,22 @@ func sameEngineState(t *testing.T, label string, got, want Engine) {
 	}
 }
 
-// TestSimulateSpansEverySplit replays each engine over the stream split
+// simulateSpans replays spans through e in order, one SimulateStream
+// call each — the loop every streamed replay runs.
+func simulateSpans(e Engine, spans []*trace.Span) error {
+	for _, s := range spans {
+		if err := e.SimulateStream(&s.BlockStream); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestSimulateStreamEverySplit replays each engine over the stream split
 // at every single run boundary (and at several multi-span strides):
-// results must be bit-identical to the monolithic replay.
-func TestSimulateSpansEverySplit(t *testing.T) {
+// span-by-span SimulateStream must be bit-identical to one monolithic
+// replay, the property streamed replay depends on.
+func TestSimulateStreamEverySplit(t *testing.T) {
 	tr := engineKindTrace(600)
 	const block = 8
 	plain, err := tr.BlockStream(block)
@@ -134,7 +144,7 @@ func TestSimulateSpansEverySplit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := SimulateSpans(e, splitSpans(bs, []int{cut})); err != nil {
+			if err := simulateSpans(e, splitSpans(bs, []int{cut})); err != nil {
 				t.Fatal(err)
 			}
 			sameEngineState(t, fmt.Sprintf("%s cut=%d", tc.label, cut), e, oracle)
@@ -149,7 +159,7 @@ func TestSimulateSpansEverySplit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := SimulateSpans(e, splitSpans(bs, cuts)); err != nil {
+			if err := simulateSpans(e, splitSpans(bs, cuts)); err != nil {
 				t.Fatal(err)
 			}
 			sameEngineState(t, fmt.Sprintf("%s stride=%d", tc.label, stride), e, oracle)
@@ -157,10 +167,10 @@ func TestSimulateSpansEverySplit(t *testing.T) {
 	}
 }
 
-// TestReplayPipelineMatchesMaterialized runs every engine over a live
-// span pipeline with a tiny budget and checks against the monolithic
+// TestSimulateStreamLivePipeline runs every engine over a live span
+// pipeline with a tiny budget and checks against the monolithic
 // materialized replay.
-func TestReplayPipelineMatchesMaterialized(t *testing.T) {
+func TestSimulateStreamLivePipeline(t *testing.T) {
 	tr := engineKindTrace(20000)
 	const block = 8
 	plain, err := tr.BlockStream(block)
@@ -188,72 +198,19 @@ func TestReplayPipelineMatchesMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, dur, err := TimedRunPipeline(context.Background(), tc.name, tc.spec, p)
-		p.Close()
+		e, err := New(tc.name, tc.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dur <= 0 {
-			t.Errorf("%s: non-positive replay time", tc.label)
+		for s := range p.Spans() {
+			if err := e.SimulateStream(&s.BlockStream); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Err(); err != nil {
+			t.Fatal(err)
 		}
 		sameEngineState(t, tc.label+" streamed", e, oracle)
-	}
-}
-
-type fakeSource struct {
-	ch  chan *trace.Span
-	err error
-}
-
-func (f *fakeSource) Spans() <-chan *trace.Span { return f.ch }
-func (f *fakeSource) Err() error                { return f.err }
-
-func TestReplayPipelineErrors(t *testing.T) {
-	defer leakcheck.Check(t)()
-	spec := Spec{MaxLogSets: 3, Assoc: 1, BlockSize: 8, Policy: cache.LRU}
-
-	// Source failure surfaces after the channel closes.
-	boom := errors.New("decode died")
-	src := &fakeSource{ch: make(chan *trace.Span), err: boom}
-	close(src.ch)
-	e, err := New("dew", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ReplayPipeline(context.Background(), e, src); !errors.Is(err, boom) {
-		t.Fatalf("source failure surfaced as %v", err)
-	}
-
-	// A simulate error aborts mid-stream without draining.
-	bad := &trace.Span{}
-	bad.BlockStream = trace.BlockStream{BlockSize: 16, IDs: []uint64{1}, Runs: []uint32{1}, Accesses: 1}
-	src2 := &fakeSource{ch: make(chan *trace.Span, 1)}
-	src2.ch <- bad // block size mismatch: the engine must reject it
-	close(src2.ch)
-	e2, err := New("dew", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ReplayPipeline(context.Background(), e2, src2); err == nil {
-		t.Fatal("mismatched span replayed without error")
-	}
-
-	// Cancellation between spans, with a live pipeline drained by Close.
-	tr := engineTrace(30000)
-	ctx, cancel := context.WithCancel(context.Background())
-	p, err := trace.StreamSpans(ctx, tr.NewSliceReader(), 8, trace.SpanOptions{MemBytes: 1, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	e3, err := New("dew", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = ReplayPipeline(ctx, e3, p)
-	p.Close()
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled pipeline replay: %v", err)
 	}
 }
 
@@ -267,12 +224,12 @@ func (g *scatterGen) Next() trace.Access {
 	return trace.Access{Addr: uint64(g.rng.Int63n(1 << 34)), Kind: trace.DataRead}
 }
 
-// TestReplayPipelineBoundedMemory streams an endless-feed workload
+// TestSimulateStreamBoundedMemory streams an endless-feed workload
 // whose materialized stream would be ~10× the budget and asserts, via
 // runtime.ReadMemStats sampled across the replay, that heap growth
 // stays bounded — the regression guard against accidental full-stream
 // accumulation anywhere in the span path.
-func TestReplayPipelineBoundedMemory(t *testing.T) {
+func TestSimulateStreamBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-million access stream")
 	}

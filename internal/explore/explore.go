@@ -17,9 +17,9 @@
 // Passes run on a simulation engine resolved by name from the engine
 // registry (Request.Engine, default "dew"), through a single dispatch
 // site — a sharded exploration replays trace.ShardStream partitions
-// built by the one-pass decode → shard ingest pipeline, an unsharded
-// one replays plain materialized streams, and the engine neither knows
-// nor cares which workflow drove it.
+// derived from the materialized streams, an unsharded one replays the
+// streams themselves, and the engine neither knows nor cares which
+// workflow drove it.
 package explore
 
 import (
@@ -60,12 +60,13 @@ type Request struct {
 	Space cache.ParamSpace
 	// Source provides the trace.
 	Source Source
-	// Workers bounds concurrent DEW passes (and, when sharding, the
-	// ingest pipeline's decode workers); 0 means GOMAXPROCS.
+	// Workers bounds concurrent DEW passes (and, when streaming, the
+	// span pipeline's decode workers); 0 means GOMAXPROCS.
 	Workers int
 	// Shards, when at least 2, runs every DEW pass in set-sharded
-	// parallel form: the stream of each block size is partitioned once
-	// into 2^S substreams (S the shard level, Shards rounded up to a
+	// parallel form: the stream of each block size, decoded once and
+	// folded like the unsharded one, is partitioned in O(runs) into 2^S
+	// substreams (S the shard level, Shards rounded up to a
 	// power of two and capped at Space.MaxLogSets) shared by all passes
 	// at that block size, and the parallelism moves inside the pass —
 	// passes are scheduled one at a time, each fanning its trees across
@@ -100,12 +101,11 @@ type Request struct {
 	// 0 keeps the materialized path.
 	StreamMem int64
 	// Kinds, when set, materializes the kind-preserving stream
-	// (trace.MaterializeBlockStreamWithKinds, or IngestShardsWithKinds
-	// when sharding) instead of folding request kinds away, and reports
-	// the trace-wide per-kind access totals in Result.KindTotals. The
-	// ID and run columns — and therefore every pass result — are
-	// bit-identical either way; the totals feed the energy model's
-	// read/write split (energy.Model.RankSplit).
+	// (trace.MaterializeBlockStreamWithKinds) instead of folding request
+	// kinds away, and reports the trace-wide per-kind access totals in
+	// Result.KindTotals. The ID and run columns — and therefore every
+	// pass result — are bit-identical either way; the totals feed the
+	// energy model's read/write split (energy.Model.RankSplit).
 	Kinds bool
 	// Progress, when non-nil, is called after each finished pass with
 	// the number of completed and total passes. Calls are serialized.
@@ -153,7 +153,7 @@ type Result struct {
 	Passes int
 	// Decodes is the number of full raw-trace reads the exploration
 	// performed: 1 on a cold run — the finest block size's
-	// materialization (or sharded ingest) — and 0 on a warm run whose
+	// materialization (or streamed decode) — and 0 on a warm run whose
 	// finest-rung stream came from the artifact store (CacheHit). Every
 	// other block size's stream is always fold-derived.
 	Decodes int
@@ -203,8 +203,8 @@ type Result struct {
 
 // Run executes the exploration.
 //
-// Cancelling ctx stops the run at its natural grain — the ingest
-// pipeline's chunk during the one raw-trace decode, then the pass — and
+// Cancelling ctx stops the run at its natural grain — the span
+// pipeline's chunk during a streamed decode, otherwise the pass — and
 // returns ctx's error with the worker pool drained and no goroutines
 // left behind. A panic inside a pass surfaces as a *pool.PanicError.
 func Run(ctx context.Context, req Request) (*Result, error) {
@@ -278,79 +278,36 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 		return runStreamed(ctx, req, name, passes, warmBlobs, passKeys, checkIdx, workers)
 	}
 
-	// Build the per-block-size inputs: one raw-trace decode at the
-	// finest block size, every coarser size fold-derived from it
+	// Build the per-block-size inputs: one raw-trace materialization at
+	// the finest block size, every coarser size fold-derived from it
 	// (trace.FoldLadder — O(runs) per rung, bit-identical to a direct
-	// materialization at that size). Without sharding, the decode is a
-	// plain materialization. With sharding on, the decode → shard ingest
-	// pipeline builds the finest stream and its shard partition in one
-	// pass over the source (trace.IngestShards: chunk-parallel run
-	// compression feeding per-shard appenders, bit-identical to
-	// materialize-then-shard), each folded rung is re-sharded with the
-	// O(runs) ShardBlockStream walk, and the parallelism moves inside
-	// the passes: passes run one at a time, each fanning out across the
+	// materialization at that size). With sharding on, each rung's shard
+	// partition is derived from its stream with the O(runs)
+	// ShardBlockStream walk, and the parallelism moves inside the
+	// passes: passes run one at a time, each fanning out across the
 	// worker budget.
 	blocks := req.Space.BlockSizes() // ascending; blocks[0] is the decode rung
 	shardLog := trace.ShardLog(req.Shards, req.Space.MaxLogSets)
 	passWorkers := workers
 	var streams map[int]*trace.BlockStream
-	shardStreams := map[int]*trace.ShardStream{}
-	ingest, materialize := trace.IngestShards, trace.MaterializeBlockStream
+	var shardStreams map[int]*trace.ShardStream
+	materialize := trace.MaterializeBlockStream
 	if req.Kinds {
-		// The kind channel rides along through ingest, folding and
-		// sharding; the engines' replay columns are unchanged.
-		ingest, materialize = trace.IngestShardsWithKinds, trace.MaterializeBlockStreamWithKinds
+		// The kind channel rides along through folding and sharding; the
+		// engines' replay columns are unchanged.
+		materialize = trace.MaterializeBlockStreamWithKinds
 	}
 	// With a cache, the store is consulted before the decode: only the
 	// unsharded finest-rung stream is stored (shard partitioning, like
 	// folding, re-derives in O(runs)), so the key always carries shard
-	// log 0, and a warm sharded run loads + re-partitions.
+	// log 0.
 	cacheKey, cacheHit := "", false
 	if req.Cache != nil && req.SourceID != "" {
 		cacheKey = store.Key(req.SourceID, blocks[0], 0, req.Kinds)
 	}
-	switch {
-	case allWarm:
-		// Every pass is served from the result tier: no decode, no
+	if !allWarm {
+		// A fully-warm run is served from the result tier: no decode, no
 		// stream load, no fold ladder, no shard partition.
-	case shardLog >= 0:
-		passWorkers = 1
-		var ss *trace.ShardStream
-		var err error
-		if cacheKey != "" {
-			var base *trace.BlockStream
-			base, cacheHit, err = req.Cache.GetOrMaterialize(ctx, cacheKey, blocks[0], req.Kinds,
-				func(ctx context.Context) (*trace.BlockStream, error) {
-					s, ierr := ingest(ctx, req.Source(), blocks[0], shardLog, workers)
-					if ierr != nil {
-						return nil, ierr
-					}
-					ss = s
-					return s.Source, nil
-				})
-			if err != nil {
-				return nil, fmt.Errorf("explore: ingesting block-%d shard stream: %w", blocks[0], err)
-			}
-			if ss == nil {
-				// The stream was loaded (or shared), not ingested here:
-				// derive the partition from it.
-				if ss, err = trace.ShardBlockStream(base, shardLog); err != nil {
-					return nil, fmt.Errorf("explore: sharding cached block-%d stream: %w", blocks[0], err)
-				}
-			}
-		} else if ss, err = ingest(ctx, req.Source(), blocks[0], shardLog, workers); err != nil {
-			return nil, fmt.Errorf("explore: ingesting block-%d shard stream: %w", blocks[0], err)
-		}
-		if streams, err = trace.FoldLadder(ss.Source, blocks); err != nil {
-			return nil, err
-		}
-		shardStreams[blocks[0]] = ss
-		for _, b := range blocks[1:] {
-			if shardStreams[b], err = trace.ShardBlockStream(streams[b], shardLog); err != nil {
-				return nil, fmt.Errorf("explore: sharding folded block-%d stream: %w", b, err)
-			}
-		}
-	default:
 		var base *trace.BlockStream
 		var err error
 		if cacheKey != "" {
@@ -366,6 +323,15 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 		}
 		if streams, err = trace.FoldLadder(base, blocks); err != nil {
 			return nil, err
+		}
+		if shardLog >= 0 {
+			passWorkers = 1
+			shardStreams = make(map[int]*trace.ShardStream, len(blocks))
+			for _, b := range blocks {
+				if shardStreams[b], err = trace.ShardBlockStream(streams[b], shardLog); err != nil {
+					return nil, fmt.Errorf("explore: sharding block-%d stream: %w", b, err)
+				}
+			}
 		}
 	}
 

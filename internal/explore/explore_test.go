@@ -321,8 +321,8 @@ func TestRunPaperSpaceSmallTrace(t *testing.T) {
 
 // TestRunEngineSelection drives the exploration through a non-default
 // registered engine: lrutree under LRU must reproduce the dew engine's
-// results exactly, in both monolithic and sharded (ingest-pipeline)
-// form, and unknown engines fail cleanly.
+// results exactly, in both monolithic and sharded form, and unknown
+// engines fail cleanly.
 func TestRunEngineSelection(t *testing.T) {
 	space := cache.ParamSpace{
 		MinLogSets: 0, MaxLogSets: 4,
@@ -389,7 +389,7 @@ func TestRunKindsTotalsAndEquivalence(t *testing.T) {
 			t.Errorf("%v: kind run %+v, plain %+v", cfg, kinds.Stats[cfg], st)
 		}
 	}
-	// Sharded ingest carries the channel too.
+	// The sharded partition carries the channel too.
 	sharded, err := Run(context.Background(), Request{Space: space, Source: FromTrace(tr), Workers: 2, Shards: 4, Kinds: true})
 	if err != nil {
 		t.Fatal(err)

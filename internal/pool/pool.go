@@ -1,6 +1,6 @@
 // Package pool is the one worker-pool primitive shared by every
-// concurrent pass in the repository (trace ingest, the sharded
-// simulator passes, sweep cells, explore passes). It exists so that
+// concurrent pass in the repository (the span decode pipeline, the
+// sharded simulator passes, sweep cells, explore passes). It exists so that
 // cancellation and panic containment are implemented once: Run checks
 // the context between tasks on every worker, and every task body runs
 // under a recover shim that converts a panic into a typed *PanicError
@@ -34,7 +34,7 @@ func (e *PanicError) Error() string {
 
 // Protect runs fn, converting a panic into a *PanicError. It is the
 // recover shim Run applies to every task; exported so pipelines with
-// bespoke goroutine topologies (the ingest stitcher) can wrap their
+// bespoke goroutine topologies (the span pipeline) can wrap their
 // worker bodies in the same containment.
 func Protect(fn func() error) (err error) {
 	defer func() {

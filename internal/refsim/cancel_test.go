@@ -14,7 +14,11 @@ import (
 func cancelShardStream(t *testing.T, n int) *trace.ShardStream {
 	t.Helper()
 	tr := workload.CJPEG.Trace(1, n)
-	ss, err := trace.IngestShards(context.Background(), tr.NewSliceReader(), 16, 2, 4)
+	bs, err := tr.BlockStream(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := trace.ShardBlockStream(bs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

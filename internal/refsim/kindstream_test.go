@@ -157,7 +157,11 @@ func TestShardedSimEquivalence(t *testing.T) {
 	cfg := mustCfg(64, 2, 8)
 	for _, policy := range []cache.Policy{cache.FIFO, cache.LRU, cache.Random} {
 		for _, log := range []int{0, 2, 3} {
-			ss, err := trace.IngestShardsWithKinds(context.Background(), tr.NewSliceReader(), cfg.BlockSize, log, 4)
+			bs, err := tr.BlockStreamWithKinds(cfg.BlockSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ss, err := trace.ShardBlockStream(bs, log)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -309,7 +313,11 @@ func FuzzKindStreamWrite(f *testing.F) {
 		// The sharded pass over the same stream must stitch identically.
 		if len(tr) > 0 {
 			log := int(geom/8) % 3
-			ss, err := trace.IngestShardsWithKinds(context.Background(), tr.NewSliceReader(), cfg.BlockSize, log, 2)
+			bs, err := tr.BlockStreamWithKinds(cfg.BlockSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ss, err := trace.ShardBlockStream(bs, log)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -63,6 +63,11 @@ const (
 	entrySuffix      = ".dbs"
 	quarantineSuffix = ".bad"
 	tmpPrefix        = "tmp-"
+
+	// tmpGCAge is how old a temp file must be before GC treats it as
+	// abandoned: a younger one may be another process's publish in
+	// flight, whose rename would fail if GC removed it.
+	tmpGCAge = time.Hour
 )
 
 // ErrMiss is returned by Get when the store holds no entry for the
@@ -231,9 +236,9 @@ func TraceID(tr trace.Trace) string {
 
 // Key derives the entry key for a materialized stream: the hex SHA-256
 // over the source identity and every parameter that shaped the bytes.
-// shardLog is the ingest shard level the stream was built under (the
-// stored artifact is always the unsharded finest-rung source stream,
-// but partitioning is derived in O(runs), so callers normally pass 0).
+// shardLog is the shard level the stream was built under (the stored
+// artifact is always the unsharded finest-rung source stream, and
+// partitioning is derived in O(runs), so callers normally pass 0).
 func Key(sourceID string, blockSize, shardLog int, kinds bool) string {
 	h := sha256.New()
 	io.WriteString(h, formatVersion)
@@ -542,9 +547,10 @@ func (s *Store) DiskStats() (DiskStats, error) {
 	return ds, nil
 }
 
-// GC removes quarantined entries and abandoned temp files, then
-// enforces maxBytes (when set) by LRU eviction. It returns the number
-// of files removed and the bytes reclaimed.
+// GC removes quarantined entries and abandoned temp files (those last
+// modified at least tmpGCAge ago), then enforces maxBytes (when set) by
+// LRU eviction. It returns the number of files removed and the bytes
+// reclaimed.
 func (s *Store) GC(maxBytes int64) (removed int, reclaimed int64, err error) {
 	dirents, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -565,9 +571,11 @@ func (s *Store) GC(maxBytes int64) (removed int, reclaimed int64, err error) {
 			continue
 		}
 		p := filepath.Join(s.dir, de.Name())
+		isTemp := len(de.Name()) >= len(tmpPrefix) && de.Name()[:len(tmpPrefix)] == tmpPrefix
 		switch {
-		case filepath.Ext(de.Name()) == quarantineSuffix,
-			len(de.Name()) >= len(tmpPrefix) && de.Name()[:len(tmpPrefix)] == tmpPrefix:
+		case isTemp && time.Since(info.ModTime()) < tmpGCAge:
+			// Possibly a publish in flight: leave it.
+		case filepath.Ext(de.Name()) == quarantineSuffix, isTemp:
 			if os.Remove(p) == nil {
 				removed++
 				reclaimed += info.Size()

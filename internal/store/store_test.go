@@ -440,9 +440,7 @@ func TestGCAndClear(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(s.Dir(), key+entrySuffix+quarantineSuffix), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(s.Dir(), tmpPrefix+"orphan"), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	plantTemp(t, s.Dir(), "orphan", 2*tmpGCAge)
 	ds, err := s.DiskStats()
 	if err != nil {
 		t.Fatal(err)
@@ -471,6 +469,49 @@ func TestGCAndClear(t *testing.T) {
 	}
 	if _, err := s.Get(ctx, key); !errors.Is(err, ErrMiss) {
 		t.Fatalf("Get after clear = %v, want ErrMiss", err)
+	}
+}
+
+// plantTemp writes a temp file last modified age ago.
+func plantTemp(t *testing.T, dir, name string, age time.Duration) {
+	t.Helper()
+	p := filepath.Join(dir, tmpPrefix+name)
+	if err := os.WriteFile(p, []byte("junk"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mtime := time.Now().Add(-age)
+	if err := os.Chtimes(p, mtime, mtime); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGCSparesFreshTemp: a temp file younger than tmpGCAge may be
+// another process's publish in flight, so GC leaves it for that
+// publish's rename; an older one is abandoned and removed. DiskStats
+// counts both.
+func TestGCSparesFreshTemp(t *testing.T) {
+	s := openTestStore(t, Options{})
+	plantTemp(t, s.Dir(), "inflight", 0)
+	plantTemp(t, s.Dir(), "abandoned", tmpGCAge+time.Minute)
+	ds, err := s.DiskStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Temp != 2 {
+		t.Fatalf("disk stats count %d temp files, want 2", ds.Temp)
+	}
+	removed, _, err := s.GC(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if removed != 1 {
+		t.Fatalf("gc removed %d files, want only the abandoned temp file", removed)
+	}
+	if _, err := os.Stat(filepath.Join(s.Dir(), tmpPrefix+"inflight")); err != nil {
+		t.Errorf("gc removed the in-flight temp file: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(s.Dir(), tmpPrefix+"abandoned")); !os.IsNotExist(err) {
+		t.Errorf("abandoned temp file survived gc: %v", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package trace
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -28,59 +29,50 @@ func (c *cancelReader) Next() (Access, error) {
 
 func TestIngestCancelMidStream(t *testing.T) {
 	defer leakcheck.Check(t)()
-	const n = 20000
-	tr := checkpointTrace(7, n)
-	want, err := IngestShards(context.Background(), tr.NewSliceReader(), 16, 2, 4)
+	tr := pipelineTrace(rand.New(rand.NewSource(7)), 20000)
+	want, err := tr.BlockStream(16)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	in, err := NewIngestor(16, 2, 4, false)
+	r := &cancelReader{r: tr.NewSliceReader(), n: 5000, cancel: cancel}
+	p, err := streamSpansWithRuns(ctx, r, 16, SpanOptions{MemBytes: 1, Workers: 4}, 8, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const chunk = 512
-	r := &cancelReader{r: tr.NewSliceReader(), n: 5000, cancel: cancel}
-	if err := in.ingestReader(ctx, r, chunk); err == nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled ingest returned %v, want context.Canceled", err)
+	spans := drainSpans(p)
+	if err := p.Err(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled pipeline returned %v, want context.Canceled", err)
 	}
 
-	// The stitched state is an exact chunk-boundary prefix: resumable
-	// to a stream bit-identical to the uninterrupted ingest.
-	got := in.Accesses()
-	if got%chunk != 0 && got != n {
-		t.Errorf("stitched prefix %d is not chunk-aligned", got)
+	// What was emitted is an exact run-boundary prefix of the
+	// uninterrupted stream.
+	checkSpanInvariants(t, spans)
+	got := ConcatSpans(16, false, spans)
+	if got.Accesses >= want.Accesses {
+		t.Fatalf("cancelled pipeline emitted all %d accesses", got.Accesses)
 	}
-	cp, err := in.Checkpoint()
-	if err != nil {
-		t.Fatalf("checkpoint after cancellation: %v", err)
-	}
-	in2, err := ResumeIngest(cp, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2 := tr.NewSliceReader()
-	if err := SkipAccesses(r2, cp.Accesses()); err != nil {
-		t.Fatal(err)
-	}
-	if err := in2.IngestReader(context.Background(), r2); err != nil {
-		t.Fatal(err)
-	}
-	sameShardStream(t, in2.Finish(), want)
+	n := len(got.IDs)
+	prefix := &BlockStream{BlockSize: 16, IDs: want.IDs[:n], Runs: want.Runs[:n], Accesses: got.Accesses}
+	sameBlockStream(t, "cancelled prefix", got, prefix)
 }
 
 func TestIngestCancelBeforeStart(t *testing.T) {
 	defer leakcheck.Check(t)()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ss, err := IngestShards(ctx, checkpointTrace(1, 100).NewSliceReader(), 16, 1, 2)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	tr := pipelineTrace(rand.New(rand.NewSource(1)), 100)
+	p, err := StreamSpans(ctx, tr.NewSliceReader(), 16, SpanOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ss != nil {
-		t.Error("cancelled ingest returned a partial stream")
+	if spans := drainSpans(p); len(spans) != 0 {
+		t.Errorf("cancelled pipeline emitted %d spans", len(spans))
+	}
+	if err := p.Err(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
@@ -112,16 +104,21 @@ func TestIngestDinCancelMidStream(t *testing.T) {
 	text := sb.String()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	in, err := NewIngestor(16, 1, 4, false)
+	p, st, err := newStreamPipeline(16, SpanOptions{MemBytes: 1, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := &cancelByteReader{r: strings.NewReader(text), n: len(text) / 3, cancel: cancel}
-	if err := in.ingestDin(ctx, r, 4096); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled din ingest returned %v, want context.Canceled", err)
+	p.start(ctx, st, spanDinProducer(r, 16, false, 4096))
+	var emitted uint64
+	for s := range p.Spans() {
+		emitted += s.Accesses
 	}
-	if in.Accesses() > 20000 {
-		t.Errorf("stitched %d accesses from a cancelled ingest", in.Accesses())
+	if err := p.Err(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled din pipeline returned %v, want context.Canceled", err)
+	}
+	if emitted >= 20000 {
+		t.Errorf("emitted %d accesses from a cancelled pipeline", emitted)
 	}
 }
 
@@ -139,65 +136,59 @@ func (p *panicAccessReader) Next() (Access, error) {
 
 func TestIngestProducerPanic(t *testing.T) {
 	defer leakcheck.Check(t)()
-	ss, err := IngestShards(context.Background(), &panicAccessReader{n: 1000}, 16, 1, 3)
+	p, err := StreamSpans(context.Background(), &panicAccessReader{n: 1000}, 16, SpanOptions{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainSpans(p)
 	var pe *pool.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *pool.PanicError", err)
+	if !errors.As(p.Err(), &pe) {
+		t.Fatalf("err = %v, want *pool.PanicError", p.Err())
 	}
 	if pe.Value != "reader exploded" || len(pe.Stack) == 0 {
 		t.Errorf("PanicError carries %v with %d stack bytes", pe.Value, len(pe.Stack))
 	}
-	if ss != nil {
-		t.Error("panicked ingest returned a partial stream")
+}
+
+// runJobs starts a pipeline over hand-built jobs and returns its
+// terminal error after draining it.
+func runJobs(t *testing.T, kinds bool, jobs ...ingestJob) error {
+	t.Helper()
+	p, st, err := newStreamPipeline(16, SpanOptions{Workers: 2, Kinds: kinds})
+	if err != nil {
+		t.Fatal(err)
 	}
+	p.start(context.Background(), st, func(emit func(ingestJob), stop func() bool) error {
+		for _, j := range jobs {
+			emit(j)
+		}
+		return nil
+	})
+	drainSpans(p)
+	return p.Err()
 }
 
 func TestIngestWorkerPanic(t *testing.T) {
 	defer leakcheck.Check(t)()
-	in, err := NewIngestor(16, 1, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = in.run(context.Background(), func(emit func(ingestJob), stop func() bool) error {
-		emit(ingestJob{seq: 0, run: func(*ingestScratch) (*runChunk, error) {
-			panic("worker exploded")
-		}})
-		return nil
-	})
+	err := runJobs(t, false, ingestJob{seq: 0, run: func() (*runChunk, error) {
+		panic("worker exploded")
+	}})
 	var pe *pool.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *pool.PanicError", err)
-	}
-	// A worker panic discards the chunk but does not poison the
-	// stitcher: the Ingestor can still checkpoint its intact prefix.
-	if _, err := in.Checkpoint(); err != nil {
-		t.Errorf("checkpoint after contained worker panic: %v", err)
 	}
 }
 
 func TestIngestStitcherPanicPoisons(t *testing.T) {
 	defer leakcheck.Check(t)()
-	in, err := NewIngestor(16, 1, 2, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A kind-mode chunk with no kind column makes the stitcher index
-	// out of range mid-apply: exactly the torn-state case the poison
-	// guard exists for.
-	err = in.run(context.Background(), func(emit func(ingestJob), stop func() bool) error {
-		emit(ingestJob{seq: 0, run: func(*ingestScratch) (*runChunk, error) {
-			return &runChunk{ids: []uint64{1}, runs: []uint32{1}, accesses: 1, head: 1, tail: 1}, nil
-		}})
-		return nil
-	})
+	// A kind-mode chunk with no kind column makes the stitcher index out
+	// of range mid-apply: the torn state must end the pipeline as a
+	// contained panic, never a crash or a stream.
+	bad := ingestJob{seq: 0, run: func() (*runChunk, error) {
+		return &runChunk{ids: []uint64{1}, runs: []uint32{1}, accesses: 1, head: 1, tail: 1}, nil
+	}}
 	var pe *pool.PanicError
-	if !errors.As(err, &pe) {
+	if err := runJobs(t, true, bad); !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *pool.PanicError", err)
-	}
-	if _, err := in.Checkpoint(); err == nil {
-		t.Error("poisoned Ingestor must refuse to checkpoint")
-	}
-	if err := in.IngestReader(context.Background(), Trace{}.NewSliceReader()); err == nil {
-		t.Error("poisoned Ingestor must refuse to ingest")
 	}
 }

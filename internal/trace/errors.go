@@ -18,9 +18,10 @@ import (
 //     from "garbage" can.
 //
 // Decoders never return a partial result alongside one of these
-// errors: an ingest or materialize call that fails returns a nil
-// stream, so a corrupt input can never silently produce a
-// wrong-but-plausible BlockStream.
+// errors: a materialize call that fails returns a nil stream, and a
+// span pipeline that fails ends with the error as its terminal Err, so
+// a corrupt input can never silently produce a wrong-but-plausible
+// BlockStream.
 
 // ErrCorrupt is the sentinel matched by every malformed-input error.
 var ErrCorrupt = errors.New("trace: corrupt input")

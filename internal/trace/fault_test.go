@@ -6,13 +6,11 @@ package trace_test
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"io"
 	"strings"
 	"testing"
 
-	"dew/internal/leakcheck"
 	"dew/internal/trace"
 	"dew/internal/trace/faultreader"
 )
@@ -116,43 +114,42 @@ func TestBinFlipFaults(t *testing.T) {
 }
 
 func TestBinDeferredIOError(t *testing.T) {
-	defer leakcheck.Check(t)()
 	data, _ := binPayload(t, 5000)
 	boom := errors.New("nfs went away")
 	cfg := faultreader.Passthrough()
 	cfg.FailAt, cfg.Err = int64(len(data)/2), boom
 	r := trace.NewBinReader(faultreader.New(bytes.NewReader(data), cfg))
-	ss, err := trace.IngestShards(context.Background(), r, 16, 1, 3)
+	bs, err := trace.MaterializeBlockStream(r, 16)
 	if !errors.Is(err, boom) {
-		t.Fatalf("ingest over dying reader: %v, want the injected error", err)
+		t.Fatalf("decode over dying reader: %v, want the injected error", err)
 	}
-	if ss != nil {
-		t.Error("failed ingest returned a partial stream")
+	if bs != nil {
+		t.Error("failed decode returned a partial stream")
 	}
 }
 
-// TestBinShortReadsIdentical proves decode and ingest are insensitive
-// to read fragmentation: a pathological byte-at-a-time stream yields a
-// bit-identical ShardStream.
+// TestBinShortReadsIdentical proves the decode is insensitive to read
+// fragmentation: a pathological byte-at-a-time stream yields a
+// bit-identical BlockStream.
 func TestBinShortReadsIdentical(t *testing.T) {
 	data, tr := binPayload(t, 5000)
-	want, err := trace.IngestShards(context.Background(), tr.NewSliceReader(), 16, 2, 3)
+	want, err := tr.BlockStream(16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := faultreader.Passthrough()
 	cfg.ShortReads, cfg.Seed = true, 99
 	r := trace.NewBinReader(faultreader.New(bytes.NewReader(data), cfg))
-	got, err := trace.IngestShards(context.Background(), r, 16, 2, 3)
+	got, err := trace.MaterializeBlockStream(r, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Source.Accesses != want.Source.Accesses || len(got.Source.IDs) != len(want.Source.IDs) {
+	if got.Accesses != want.Accesses || len(got.IDs) != len(want.IDs) {
 		t.Fatalf("short reads changed the stream: %d accesses %d runs, want %d/%d",
-			got.Source.Accesses, len(got.Source.IDs), want.Source.Accesses, len(want.Source.IDs))
+			got.Accesses, len(got.IDs), want.Accesses, len(want.IDs))
 	}
-	for i := range want.Source.IDs {
-		if got.Source.IDs[i] != want.Source.IDs[i] || got.Source.Runs[i] != want.Source.Runs[i] {
+	for i := range want.IDs {
+		if got.IDs[i] != want.IDs[i] || got.Runs[i] != want.Runs[i] {
 			t.Fatalf("run %d differs under short reads", i)
 		}
 	}
@@ -168,7 +165,7 @@ func TestDinFlipFault(t *testing.T) {
 	// error must name that exact line.
 	cfg := faultreader.Passthrough()
 	cfg.FlipAt, cfg.FlipMask = int64(50*7+2), 0x40 // '1' -> 'q'
-	ss, err := trace.IngestDinShards(context.Background(), faultreader.New(strings.NewReader(text), cfg), 16, 1, 3)
+	bs, err := trace.MaterializeBlockStream(trace.NewDinReader(faultreader.New(strings.NewReader(text), cfg)), 16)
 	var ce *trace.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("flipped din digit: %v, want *trace.CorruptError", err)
@@ -176,37 +173,35 @@ func TestDinFlipFault(t *testing.T) {
 	if ce.Line != 51 {
 		t.Errorf("corruption reported at line %d, want 51", ce.Line)
 	}
-	if ss != nil {
-		t.Error("corrupt din ingest returned a partial stream")
+	if bs != nil {
+		t.Error("corrupt din decode returned a partial stream")
 	}
 }
 
 func TestDinDeferredIOError(t *testing.T) {
-	defer leakcheck.Check(t)()
 	text := strings.Repeat("0 1000\n1 2000\n", 5000)
 	boom := errors.New("disk pulled")
 	cfg := faultreader.Passthrough()
 	cfg.FailAt, cfg.Err = int64(len(text)/2), boom
-	ss, err := trace.IngestDinShards(context.Background(), faultreader.New(strings.NewReader(text), cfg), 16, 1, 3)
+	bs, err := trace.MaterializeBlockStream(trace.NewDinReader(faultreader.New(strings.NewReader(text), cfg)), 16)
 	if !errors.Is(err, boom) {
-		t.Fatalf("din ingest over dying reader: %v, want the injected error", err)
+		t.Fatalf("din decode over dying reader: %v, want the injected error", err)
 	}
-	if ss != nil {
-		t.Error("failed din ingest returned a partial stream")
+	if bs != nil {
+		t.Error("failed din decode returned a partial stream")
 	}
 }
 
 func TestAccessLevelFault(t *testing.T) {
-	defer leakcheck.Check(t)()
 	_, tr := binPayload(t, 8000)
 	boom := errors.New("generator wedged")
 	fr := faultreader.NewAccess(tr.NewSliceReader(), 6000, boom)
-	ss, err := trace.IngestShards(context.Background(), fr, 16, 1, 3)
+	bs, err := trace.MaterializeBlockStream(fr, 16)
 	if !errors.Is(err, boom) {
-		t.Fatalf("ingest over failing access source: %v, want the injected error", err)
+		t.Fatalf("decode over failing access source: %v, want the injected error", err)
 	}
-	if ss != nil {
-		t.Error("failed ingest returned a partial stream")
+	if bs != nil {
+		t.Error("failed decode returned a partial stream")
 	}
 	if fr.Served() != 6000 {
 		t.Errorf("fault fired after %d accesses, want 6000", fr.Served())

@@ -1,5 +1,5 @@
 // Package faultreader is a deterministic fault-injection harness for
-// the trace decoders and the ingest pipeline: it wraps an io.Reader
+// the trace decoders and the span pipeline: it wraps an io.Reader
 // (byte-level faults — truncation, bit-flips, short reads, stalls,
 // deferred I/O errors) or a trace.Reader (access-level deferred
 // errors), with every fault scheduled by explicit offsets and a seed,

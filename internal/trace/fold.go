@@ -27,8 +27,8 @@ import (
 // bit-identical to MaterializeBlockStream at the coarser size —
 // including where uint32 run-overflow splits land. Fold composes:
 // folding k times is bit-identical to materializing at B·2^k, and
-// sharding a folded stream (ShardBlockStream) is bit-identical to the
-// ingest pipeline at the coarser size, so the decode-once → fold →
+// sharding a folded stream (ShardBlockStream) is bit-identical to
+// sharding a direct materialization at the coarser size, so the decode-once → fold →
 // shard ladder carries every downstream exactness argument unchanged.
 
 // foldInto runs the fold over bs, appending to dst's (reset) columns.

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -269,8 +268,8 @@ func TestFoldLadder(t *testing.T) {
 }
 
 // TestFoldShardEquivalence: sharding a folded stream is bit-identical to
-// the one-pass ingest pipeline at the coarser size — the composition the
-// sharded explore frontend relies on.
+// sharding a direct materialization at the coarser size — the
+// composition the sharded frontends rely on.
 func TestFoldShardEquivalence(t *testing.T) {
 	tr := foldTestTrace(15_000, 5)
 	base, err := tr.BlockStream(4)
@@ -283,7 +282,11 @@ func TestFoldShardEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := IngestShards(context.Background(), tr.NewSliceReader(), 8, log, 4)
+		direct, err := tr.BlockStream(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ShardBlockStream(direct, log)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -111,10 +111,10 @@ func FuzzRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzDinCorrupt drives arbitrary bytes through the full din ingest
-// path: every failure must be a typed, position-carrying error from the
-// taxonomy in errors.go, and a failed ingest must never hand back a
-// partial stream.
+// FuzzDinCorrupt drives arbitrary bytes through the chunk-parallel din
+// decode: every failure must be a typed, position-carrying error from
+// the taxonomy in errors.go, and a failed decode must never emit a span
+// past the corruption.
 func FuzzDinCorrupt(f *testing.F) {
 	f.Add("0 1000\n1 1004\n2 2000\n")
 	f.Add("0 zz\n")
@@ -122,17 +122,13 @@ func FuzzDinCorrupt(f *testing.F) {
 	f.Add("0 1000")
 	f.Add(strings.Repeat("1 40\n", 300))
 	f.Fuzz(func(t *testing.T, in string) {
-		ss, err := IngestDinShards(context.Background(), strings.NewReader(in), 16, 1, 2)
-		if err == nil {
-			if ss == nil {
-				t.Fatal("clean ingest returned no stream")
-			}
-			return
+		p, err := StreamDinSpans(context.Background(), strings.NewReader(in), 16, SpanOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ss != nil {
-			t.Fatal("failed ingest returned a partial stream")
-		}
-		requireTypedPositioned(t, err)
+		checkCorruptDecode(t, p, func() (*BlockStream, error) {
+			return MaterializeBlockStream(NewDinReader(strings.NewReader(in)), 16)
+		})
 	})
 }
 
@@ -151,18 +147,35 @@ func FuzzBinCorrupt(f *testing.F) {
 	f.Add([]byte("DTB1\xff\xff\xff"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, in []byte) {
-		ss, err := IngestShards(context.Background(), NewBinReader(bytes.NewReader(in)), 16, 1, 2)
-		if err == nil {
-			if ss == nil {
-				t.Fatal("clean ingest returned no stream")
-			}
-			return
+		p, err := StreamSpans(context.Background(), NewBinReader(bytes.NewReader(in)), 16, SpanOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ss != nil {
-			t.Fatal("failed ingest returned a partial stream")
-		}
-		requireTypedPositioned(t, err)
+		checkCorruptDecode(t, p, func() (*BlockStream, error) {
+			return MaterializeBlockStream(NewBinReader(bytes.NewReader(in)), 16)
+		})
 	})
+}
+
+// checkCorruptDecode drains p and holds it to the serial decode: a
+// clean input streams to exactly the serial stream, and a failing one
+// fails with the serial decode's error, typed and positioned.
+func checkCorruptDecode(t *testing.T, p *StreamPipeline, serial func() (*BlockStream, error)) {
+	t.Helper()
+	spans := drainSpans(p)
+	err := p.Err()
+	want, serr := serial()
+	if (err == nil) != (serr == nil) {
+		t.Fatalf("span pipeline error %v, serial error %v", err, serr)
+	}
+	if err == nil {
+		sameBlockStream(t, "clean decode", ConcatSpans(16, false, spans), want)
+		return
+	}
+	if err.Error() != serr.Error() {
+		t.Fatalf("span pipeline error %q, serial error %q", err, serr)
+	}
+	requireTypedPositioned(t, err)
 }
 
 // requireTypedPositioned asserts err belongs to the corrupt-input

@@ -7,8 +7,8 @@ package trace
 // count and the kind of the first non-store) for the write-policy
 // simulators to replay a run exactly. None of the replacement policies
 // consult kinds, so the ID and run columns are bit-identical with or
-// without the channel; fold, shard and ingest all preserve it with the
-// same merge decisions they already make for the weights.
+// without the channel; fold, shard and span decode all preserve it
+// with the same merge decisions they already make for the weights.
 //
 // # Why Lead and First are enough
 //
@@ -39,7 +39,7 @@ package trace
 // split can land inside a summarized region, so the convention is
 // unobservable outside crafted weighted inputs; the weighted fuzz
 // oracles (appendKindRun) expand runs in the same canonical order,
-// keeping fold/shard/ingest bit-identical to their per-access
+// keeping fold/shard/span decode bit-identical to their per-access
 // references even at crafted near-MaxUint32 weights.
 
 // KindRun is one run's kind record: W counts the run's accesses by

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"context"
 	"errors"
@@ -16,20 +17,20 @@ import (
 	"dew/internal/pool"
 )
 
-// This file is the streaming back half of the decode pipeline: the same
-// chunk-parallel decode + boundary-merge stitch that ingest uses
-// (pipeline.go), but instead of accumulating the whole run-compressed
-// stream, the stitcher emits it as a bounded, backpressured channel of
-// *spans* — contiguous BlockStream segments a consumer replays in
-// order. Decode overlaps with whatever consumes the spans (fold,
-// simulation, a blob spool), and the pipeline's resident state is
-// bounded by a byte budget instead of the trace length, so a trace
-// larger than RAM — or an endless feed — streams through in O(budget)
-// memory.
+// This file is the package's one chunk-parallel decoder: the input is
+// cut into chunks, workers decode and run-compress each chunk
+// (chunk.go), and an ordered stitcher merges runs across chunk
+// boundaries. Instead of accumulating the whole run-compressed stream,
+// the stitcher emits it as a bounded, backpressured channel of *spans*
+// — contiguous BlockStream segments a consumer replays in order.
+// Decode overlaps with whatever consumes the spans (fold, simulation, a
+// blob spool), and the pipeline's resident state is bounded by a byte
+// budget instead of the trace length, so a trace larger than RAM — or
+// an endless feed — streams through in O(budget) memory.
 //
 // # Exactness
 //
-// Run formation's only mutable state is the tail run (see pipeline.go);
+// Run formation's only mutable state is the tail run (see chunk.go);
 // every run before it is final. The span stitcher therefore always
 // withholds the tail run and emits only final runs, cutting spans at
 // run boundaries. Concatenating the emitted spans reproduces the
@@ -73,15 +74,6 @@ type SpanOptions struct {
 	Workers int
 	// Kinds selects the kind-preserving channel on every span.
 	Kinds bool
-	// CheckpointEvery requests a DCP1 checkpoint roughly every that many
-	// accesses, delivered at span boundaries; 0 disables checkpoints.
-	CheckpointEvery uint64
-	// Checkpoint receives each periodic checkpoint, synchronously on the
-	// stitcher goroutine between span emissions: when it is called,
-	// every span covering accesses before the checkpoint's pending tail
-	// has already been emitted. A non-nil error aborts the pipeline.
-	// Resume with ResumeStreamSpans.
-	Checkpoint func(*Checkpoint) error
 }
 
 // StreamPipeline is a running span pipeline. Consume Spans until the
@@ -181,16 +173,11 @@ type spanStitcher struct {
 	spanRuns int
 	kinds    bool
 	emit     func(*Span) error
-
-	ckEvery uint64
-	ckFn    func(*Checkpoint) error
-	lastCk  uint64
 }
 
-// add appends one chunk with exactly the stitch semantics of
-// shardStitcher.add (minus the shard machine): chunk edges replay
-// through the per-access tail machine, the interior — final regardless
-// of its neighbours — bulk-appends.
+// add appends one chunk in stream order: chunk edges replay through the
+// per-access tail machine, the interior — final regardless of its
+// neighbours — bulk-appends.
 func (st *spanStitcher) add(c *runChunk) error {
 	p := &st.pend
 	appendEdge := func(i int) {
@@ -235,7 +222,7 @@ func (st *spanStitcher) flush(final bool) error {
 			return err
 		}
 	}
-	return st.maybeCheckpoint()
+	return nil
 }
 
 // emitSpan cuts the first n (final) pending runs into a Span and
@@ -267,63 +254,6 @@ func (st *spanStitcher) emitSpan(n int) error {
 	return st.emit(s)
 }
 
-// maybeCheckpoint delivers a DCP1 checkpoint once CheckpointEvery
-// accesses have been consumed since the last one.
-func (st *spanStitcher) maybeCheckpoint() error {
-	if st.ckFn == nil || st.ckEvery == 0 {
-		return nil
-	}
-	consumed := st.start + st.pend.Accesses
-	if consumed-st.lastCk < st.ckEvery {
-		return nil
-	}
-	st.lastCk = consumed
-	return st.ckFn(st.checkpoint())
-}
-
-// checkpoint snapshots the pipeline position as a DCP1 checkpoint: a
-// degenerate log-0 snapshot whose source holds only the pending tail
-// runs while its access count covers everything consumed so far —
-// Accesses() is the resume read position, exactly as for ingest
-// checkpoints. Resume with ResumeStreamSpans (not ResumeIngest: the
-// emitted prefix is deliberately absent).
-func (st *spanStitcher) checkpoint() *Checkpoint {
-	src := cloneStream(&st.pend)
-	src.Accesses = st.start + st.pend.Accesses
-	return &Checkpoint{
-		blockSize: st.pend.BlockSize,
-		log:       0,
-		kinds:     st.kinds,
-		fed:       0,
-		source:    src,
-		shards:    []BlockStream{{BlockSize: st.pend.BlockSize}},
-	}
-}
-
-// finishEdges is chunkCompressor.finish without the shard partials: the
-// span pipeline has no shard machine, so only the edge spans matter.
-func (cc *chunkCompressor) finishEdges() *runChunk {
-	c := &cc.c
-	n := len(c.ids)
-	if n == 0 {
-		return c
-	}
-	head := 1
-	for head < n && c.ids[head] == c.ids[0] {
-		head++
-	}
-	tail := n - 1
-	for tail > 0 && c.ids[tail-1] == c.ids[n-1] {
-		tail--
-	}
-	if tail < head {
-		c.head, c.tail = n, n
-		return c
-	}
-	c.head, c.tail = head, tail
-	return c
-}
-
 // newStreamPipeline validates geometry and builds the pipeline shell
 // and its stitcher.
 func newStreamPipeline(blockSize int, opts SpanOptions) (*StreamPipeline, *spanStitcher, error) {
@@ -352,8 +282,6 @@ func newStreamPipeline(blockSize int, opts SpanOptions) (*StreamPipeline, *spanS
 		pend:     BlockStream{BlockSize: blockSize},
 		spanRuns: spanRuns,
 		kinds:    opts.Kinds,
-		ckEvery:  opts.CheckpointEvery,
-		ckFn:     opts.Checkpoint,
 	}
 	if opts.Kinds {
 		st.pend.Kinds = []KindRun{}
@@ -362,8 +290,8 @@ func newStreamPipeline(blockSize int, opts SpanOptions) (*StreamPipeline, *spanS
 }
 
 // start launches the pipeline goroutines: produce → compress workers →
-// ordered stitch, the same topology as Ingestor.run, with the stitch on
-// its own goroutine emitting spans under backpressure. Every goroutine
+// ordered stitch, with the stitch on its own goroutine emitting spans
+// under backpressure. Every goroutine
 // body runs under pool.Protect — a panic anywhere surfaces as the
 // pipeline's terminal *pool.PanicError, never a crash — and the driver
 // never exits with pipeline goroutines still live.
@@ -395,7 +323,7 @@ func (p *StreamPipeline) start(ctx context.Context, st *spanStitcher,
 				var c *runChunk
 				err := pool.Protect(func() error {
 					var err error
-					c, err = j.run(nil)
+					c, err = j.run()
 					return err
 				})
 				results <- ingestResult{seq: j.seq, chunk: c, err: err}
@@ -481,8 +409,7 @@ func StreamSpans(ctx context.Context, r Reader, blockSize int, opts SpanOptions)
 	return p, nil
 }
 
-// spanReaderProducer emits chunk jobs from a batched access reader,
-// mirroring Ingestor.ingestReader's producer.
+// spanReaderProducer emits chunk jobs from a batched access reader.
 func spanReaderProducer(r Reader, blockSize int, kinds bool, chunkSize int) func(emit func(ingestJob), stop func() bool) error {
 	off := blockShift(blockSize)
 	return func(emit func(ingestJob), stop func() bool) error {
@@ -502,7 +429,7 @@ func spanReaderProducer(r Reader, blockSize int, kinds bool, chunkSize int) func
 			}
 			if filled > 0 {
 				accs := buf[:filled]
-				emit(ingestJob{seq: seq, run: func(*ingestScratch) (*runChunk, error) {
+				emit(ingestJob{seq: seq, run: func() (*runChunk, error) {
 					cc := &chunkCompressor{kinds: kinds}
 					if kinds {
 						for _, a := range accs {
@@ -532,22 +459,27 @@ func spanReaderProducer(r Reader, blockSize int, kinds bool, chunkSize int) func
 }
 
 // StreamDinSpans starts a span pipeline over Dinero .din text, with the
-// text decode itself chunk-parallel (line-boundary cuts, exactly as
-// IngestDinShards).
+// text decode itself chunk-parallel: the producer cuts the byte stream
+// at line boundaries and workers parse and run-compress each chunk.
+// Semantics, error line numbers included, match NewDinReader.
 func StreamDinSpans(ctx context.Context, r io.Reader, blockSize int, opts SpanOptions) (*StreamPipeline, error) {
 	p, st, err := newStreamPipeline(blockSize, opts)
 	if err != nil {
 		return nil, err
 	}
-	// Scale the text chunks with the budget: a .din line is ≥ 8 bytes
-	// per access, so the access geometry bounds the byte geometry.
-	chunkBytes := max(64<<10, min(p.chunkAcc*16, ingestDinChunkBytes))
-	p.start(ctx, st, spanDinProducer(r, blockSize, opts.Kinds, chunkBytes))
+	p.start(ctx, st, spanDinProducer(r, blockSize, opts.Kinds, p.dinChunkBytes()))
 	return p, nil
 }
 
-// spanDinProducer mirrors Ingestor.ingestDin's producer with the
-// edge-only chunk finish.
+// dinChunkBytes scales the text chunks with the budget: a .din line is
+// ≥ 8 bytes per access, so the access geometry bounds the byte
+// geometry.
+func (p *StreamPipeline) dinChunkBytes() int {
+	return max(64<<10, min(p.chunkAcc*16, ingestDinChunkBytes))
+}
+
+// spanDinProducer emits one parse job per line-aligned chunk of .din
+// text.
 func spanDinProducer(r io.Reader, blockSize int, kinds bool, chunkBytes int) func(emit func(ingestJob), stop func() bool) error {
 	off := blockShift(blockSize)
 	return func(emit func(ingestJob), stop func() bool) error {
@@ -555,10 +487,10 @@ func spanDinProducer(r io.Reader, blockSize int, kinds bool, chunkBytes int) fun
 		seq := 0
 		startLine := 1
 		emitChunk := func(b []byte) {
-			lines := countNewlines(b)
+			lines := bytes.Count(b, []byte{'\n'})
 			base := startLine
 			startLine += lines
-			emit(ingestJob{seq: seq, run: func(*ingestScratch) (*runChunk, error) {
+			emit(ingestJob{seq: seq, run: func() (*runChunk, error) {
 				return parseDinChunkEdges(b, base, off, kinds)
 			}})
 			seq++
@@ -578,7 +510,7 @@ func spanDinProducer(r io.Reader, blockSize int, kinds bool, chunkBytes int) fun
 				}
 				return nil
 			}
-			cut := lastNewline(buf)
+			cut := bytes.LastIndexByte(buf, '\n')
 			if cut < 0 {
 				// No line boundary yet (pathological line longer than
 				// the chunk): keep accumulating.
@@ -590,25 +522,6 @@ func spanDinProducer(r io.Reader, blockSize int, kinds bool, chunkBytes int) fun
 		}
 		return nil
 	}
-}
-
-func countNewlines(b []byte) int {
-	n := 0
-	for _, c := range b {
-		if c == '\n' {
-			n++
-		}
-	}
-	return n
-}
-
-func lastNewline(b []byte) int {
-	for i := len(b) - 1; i >= 0; i-- {
-		if b[i] == '\n' {
-			return i
-		}
-	}
-	return -1
 }
 
 // StreamFileSpans starts a span pipeline over a trace file,
@@ -639,40 +552,8 @@ func StreamFileSpans(ctx context.Context, name string, blockSize int, opts SpanO
 	if DetectFormat(name) == FormatBin {
 		p.start(ctx, st, spanReaderProducer(NewBinReader(bufio.NewReader(src)), blockSize, opts.Kinds, p.chunkAcc))
 	} else {
-		chunkBytes := max(64<<10, min(p.chunkAcc*16, ingestDinChunkBytes))
-		p.start(ctx, st, spanDinProducer(src, blockSize, opts.Kinds, chunkBytes))
+		p.start(ctx, st, spanDinProducer(src, blockSize, opts.Kinds, p.dinChunkBytes()))
 	}
-	return p, nil
-}
-
-// ResumeStreamSpans restarts a span pipeline from a checkpoint taken by
-// SpanOptions.Checkpoint: the caller re-positions r at cp.Accesses()
-// (SkipAccesses, exactly as for ingest resume) and the pipeline
-// continues emitting spans from the checkpoint's pending tail — the
-// concatenation of the spans emitted before the checkpoint and the
-// spans emitted after the resume is bit-identical to an uninterrupted
-// pipeline, uint32 overflow splits and kind merges at the cut included.
-func ResumeStreamSpans(ctx context.Context, cp *Checkpoint, r Reader, opts SpanOptions) (*StreamPipeline, error) {
-	if cp.log != 0 {
-		return nil, fmt.Errorf("trace: span checkpoint has shard level %d, want 0", cp.log)
-	}
-	var pendAcc uint64
-	for _, w := range cp.source.Runs {
-		pendAcc += uint64(w)
-	}
-	if pendAcc > cp.source.Accesses {
-		return nil, fmt.Errorf("trace: span checkpoint pending %d accesses exceeds consumed %d", pendAcc, cp.source.Accesses)
-	}
-	opts.Kinds = cp.kinds
-	p, st, err := newStreamPipeline(cp.blockSize, opts)
-	if err != nil {
-		return nil, err
-	}
-	st.pend = cloneStream(&cp.source)
-	st.pend.Accesses = pendAcc
-	st.start = cp.source.Accesses - pendAcc
-	st.lastCk = cp.source.Accesses
-	p.start(ctx, st, spanReaderProducer(r, cp.blockSize, cp.kinds, p.chunkAcc))
 	return p, nil
 }
 
@@ -702,7 +583,7 @@ func streamWeightedSpans(ctx context.Context, blockSize int, opts SpanOptions, s
 			if kinds != nil {
 				ckinds = kinds[seq]
 			}
-			emit(ingestJob{seq: seq, run: func(*ingestScratch) (*runChunk, error) {
+			emit(ingestJob{seq: seq, run: func() (*runChunk, error) {
 				cc := &chunkCompressor{kinds: ckinds != nil}
 				for i := range cids {
 					if ckinds != nil {

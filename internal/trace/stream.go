@@ -40,11 +40,11 @@ import (
 // need per-kind statistics or write-policy semantics (refsim's
 // write/alloc axes, the energy model's read/write split) materialize
 // the stream with the kind-preserving channel instead
-// (MaterializeBlockStreamWithKinds, IngestShardsWithKinds): a parallel
+// (MaterializeBlockStreamWithKinds, SpanOptions.Kinds): a parallel
 // Kinds column records each run's per-kind weights plus the ordering a
 // write-policy replay needs (see KindRun). The channel is a strict
 // superset — the ID and run columns are bit-identical either way — and
-// every pipeline stage (fold, shard, ingest stitching) preserves it.
+// every pipeline stage (fold, shard, span stitching) preserves it.
 type BlockStream struct {
 	// BlockSize is the block size in bytes the stream was materialized
 	// at (a positive power of two).

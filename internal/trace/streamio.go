@@ -11,13 +11,13 @@ import (
 
 // DBS1 is the self-describing on-disk form of one BlockStream — the
 // persistent artifact behind the content-addressed store
-// (internal/store): materialize or ingest once, publish the finest
+// (internal/store): decode once, publish the finest
 // rung, and every later run loads it with a checksummed file read
 // instead of a trace decode (the fold ladder re-derives the coarser
 // rungs in O(runs)).
 //
 // Wire format (integers are unsigned varints unless noted; the column
-// section shares the codec in codec.go with DCP1 checkpoints):
+// section is the codec in codec.go):
 //
 //	magic "DBS1" (4 bytes)
 //	version (1 byte, currently 1)
@@ -392,4 +392,15 @@ func (b *BlockStream) ReadFrom(r io.Reader) (int64, error) {
 	}
 	*b = out
 	return d.off, nil
+}
+
+// cloneCol copies a column preserving nil-ness (a nil column and an
+// empty one are distinct: HasKinds and DeepEqual both care).
+func cloneCol[T any](s []T) []T {
+	if s == nil {
+		return nil
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
 }

@@ -7,8 +7,8 @@
 // On top of the raw formats sits the decode-once stream frontend the
 // design-space layers ride: a trace is decoded exactly once into a
 // run-compressed BlockStream at the finest block size a run needs
-// (MaterializeBlockStream, or IngestShards for the one-pass sharded
-// ingest pipeline), every coarser block size is fold-derived from it
+// (MaterializeBlockStream, the serial reference decode), every coarser
+// block size is fold-derived from it
 // in O(runs) (FoldBlockStream, FoldLadder), and each rung can be
 // partitioned into independent per-tree substreams (ShardBlockStream)
 // for the parallel passes — decode once → fold → shard, each stage
@@ -17,21 +17,18 @@
 // The frontend is built to fail loudly and resumably rather than
 // silently: decode errors are typed and position-carrying
 // (CorruptError, TruncatedError, both matching the ErrCorrupt
-// sentinel — see errors.go), the ingest pipeline honours context
-// cancellation at chunk granularity and contains worker panics as
-// *pool.PanicError, and a long ingest can be snapshotted at any chunk
-// boundary (Ingestor.Checkpoint) and resumed bit-identically
-// (ResumeIngest, SkipAccesses). The faultreader subpackage injects
-// deterministic I/O faults for testing these paths.
+// sentinel — see errors.go), and the chunk-parallel span pipeline
+// honours context cancellation at chunk granularity and contains
+// worker panics as *pool.PanicError. The faultreader subpackage
+// injects deterministic I/O faults for testing these paths.
 //
 // The same stages also run without ever materializing the whole
-// stream: StreamSpans (StreamDinSpans, StreamFileSpans) emits the
-// run-compressed stream as a bounded, backpressured pipeline of spans
-// whose concatenation is bit-identical to the materialized
-// BlockStream (FuzzSpanEquivalence), with decode overlapped with the
-// consumer, resident decoded spans capped at SpanOptions.MemBytes,
-// DCP1 checkpoints at span boundaries (ResumeStreamSpans), and the
-// incremental LadderFolder deriving every coarser ladder rung from the
+// stream: StreamSpans (StreamDinSpans, StreamFileSpans), the package's
+// one chunk-parallel decoder, emits the run-compressed stream as a
+// bounded, backpressured pipeline of spans whose concatenation is
+// bit-identical to the materialized BlockStream (FuzzSpanEquivalence),
+// with decode overlapped with the consumer, resident decoded spans
+// capped at SpanOptions.MemBytes, and the incremental LadderFolder deriving every coarser ladder rung from the
 // spans as they arrive — the bounded-memory path for traces larger
 // than RAM.
 //

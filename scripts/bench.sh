@@ -3,7 +3,7 @@
 #
 # Runs the single-vs-batch-vs-stream access benchmarks, the LRU-policy
 # stream benchmark, the set-sharded parallel pass at fan-outs 2/4/8,
-# the decode→shard ingest pipeline vs its serial baseline, the
+# the serial .din decode-then-shard path, the
 # block-size fold ladder vs the decode-per-block-size baseline, and the
 # write-policy reference replay over the kind-preserving stream vs its
 # per-access baseline, the DBS1 artifact marshal/load costs, the
@@ -14,9 +14,7 @@
 #   BENCH_core.json  summary with means, batch-over-single,
 #                    stream-over-batch and sharded-over-stream speedup
 #                    curves, per-workload stream run-compression ratios,
-#                    per-workload ingest throughput (blocks/s,
-#                    decode→appender) and pipeline-over-serial ingest
-#                    speedups, the fold-over-decode speedup and per-rung
+#                    the fold-over-decode speedup and per-rung
 #                    fold compression of the block ladder, the
 #                    write-policy stream-over-access speedup and the kind
 #                    channel's bytes-per-access footprint, the artifact
@@ -43,7 +41,7 @@ COUNT="${COUNT:-5}"
 OUT="${OUT:-BENCH_core}"
 REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 
-go test -run '^$' -bench 'Benchmark(Access(Single|Batch|Stream|StreamLRU|Sharded)|Ingest(Shards|Serial)|(Fold|Decode)Ladder|Ref(Access|Stream)Write|Stream(Marshal|Load)|Explore(Cold|Warm)|Sweep(Cold|Warm)|Replay(Streamed|Materialized))$' -benchmem -count "$COUNT" . | tee "$OUT.txt"
+go test -run '^$' -bench 'Benchmark(Access(Single|Batch|Stream|StreamLRU|Sharded)|IngestSerial|(Fold|Decode)Ladder|Ref(Access|Stream)Write|Stream(Marshal|Load)|Explore(Cold|Warm)|Sweep(Cold|Warm)|Replay(Streamed|Materialized))$' -benchmem -count "$COUNT" . | tee "$OUT.txt"
 
 # Preserve the previous recording as history: benchjson reads it from a
 # side copy (the shell truncates $OUT.json before benchjson runs).

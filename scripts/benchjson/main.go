@@ -88,8 +88,6 @@ type historyEntry struct {
 	SpeedupStreamOverBatch    map[string]float64            `json:"speedup_stream_over_batch,omitempty"`
 	SpeedupShardedOverStream  map[string]map[string]float64 `json:"speedup_sharded_over_stream,omitempty"`
 	RunCompression            map[string]float64            `json:"run_compression,omitempty"`
-	IngestBlocksPerS          map[string]float64            `json:"ingest_blocks_per_s,omitempty"`
-	SpeedupIngestOverSerial   map[string]float64            `json:"speedup_ingest_over_serial,omitempty"`
 	SpeedupFoldOverDecode     map[string]float64            `json:"speedup_fold_over_decode,omitempty"`
 	FoldCompression           map[string]map[string]float64 `json:"fold_compression,omitempty"`
 	SpeedupRefWriteStream     map[string]float64            `json:"speedup_refwrite_stream_over_access,omitempty"`
@@ -109,7 +107,7 @@ type output struct {
 	GitRev    string `json:"git_rev,omitempty"`
 	CPU       string `json:"cpu,omitempty"`
 	// NumCPU records the host's usable core count — the context the
-	// sharded/ingest speedup curves must be read in (near-1.0× curves
+	// sharded speedup curves must be read in (near-1.0× curves
 	// on a 1-core host record coordination overhead, not a regression;
 	// see ROADMAP's multi-core-validation item).
 	NumCPU int `json:"num_cpu,omitempty"`
@@ -133,14 +131,6 @@ type output struct {
 	// RunCompression is the stream benchmark's measured accesses-per-run
 	// ratio per workload.
 	RunCompression map[string]float64 `json:"run_compression,omitempty"`
-	// IngestBlocksPerS is the decode → shard ingest pipeline's
-	// throughput per workload (block references ingested per second,
-	// fastest sample of BenchmarkIngestShards).
-	IngestBlocksPerS map[string]float64 `json:"ingest_blocks_per_s,omitempty"`
-	// SpeedupIngestOverSerial is, per workload, the pipeline's
-	// throughput over the serial materialize-then-shard baseline
-	// (BenchmarkIngestSerial), both measured in this tree.
-	SpeedupIngestOverSerial map[string]float64 `json:"speedup_ingest_over_serial,omitempty"`
 	// SpeedupFoldOverDecode is, per workload,
 	// ns_per_access(DecodeLadder)/ns_per_access(FoldLadder): how much
 	// cheaper deriving the coarser block sizes of the ladder by folding
@@ -219,8 +209,6 @@ func (o *output) summarize() historyEntry {
 		SpeedupStreamOverBatch:    o.SpeedupStreamOverBatch,
 		SpeedupShardedOverStream:  o.SpeedupShardedOverStream,
 		RunCompression:            o.RunCompression,
-		IngestBlocksPerS:          o.IngestBlocksPerS,
-		SpeedupIngestOverSerial:   o.SpeedupIngestOverSerial,
 		SpeedupFoldOverDecode:     o.SpeedupFoldOverDecode,
 		FoldCompression:           o.FoldCompression,
 		SpeedupRefWriteStream:     o.SpeedupRefWriteStream,
@@ -377,8 +365,6 @@ func main() {
 	out.SpeedupStreamOverBatch = map[string]float64{}
 	out.SpeedupShardedOverStream = map[string]map[string]float64{}
 	out.RunCompression = map[string]float64{}
-	out.IngestBlocksPerS = map[string]float64{}
-	out.SpeedupIngestOverSerial = map[string]float64{}
 	out.SpeedupFoldOverDecode = map[string]float64{}
 	out.FoldCompression = map[string]map[string]float64{}
 	out.SpeedupRefWriteStream = map[string]float64{}
@@ -451,12 +437,6 @@ func main() {
 			}
 			if s.PeakB > 0 {
 				out.PeakResidentBytes[app] = s.PeakB
-			}
-		}
-		if app, ok := strings.CutPrefix(name, "BenchmarkIngestShards/"); ok && s.BlocksPerSFastest > 0 {
-			out.IngestBlocksPerS[app] = round2(s.BlocksPerSFastest)
-			if serial, ok := out.Benchmarks["BenchmarkIngestSerial/"+app]; ok && serial.BlocksPerSFastest > 0 {
-				out.SpeedupIngestOverSerial[app] = round2(s.BlocksPerSFastest / serial.BlocksPerSFastest)
 			}
 		}
 		// BenchmarkAccessSharded/<app>/S<k>: one curve point per fan-out.
