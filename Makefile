@@ -31,7 +31,8 @@ fuzz:
 	$(GO) test ./internal/lrutree -run '^$$' -fuzz FuzzFastEquivalence -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzShardBlockStream -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzFoldBlockStream -fuzztime 20s
-	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzSpanEquivalence -fuzztime 20s
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzSpanEquivalence -fuzztime 30s
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDinMaterialize -fuzztime 30s
 	$(GO) test ./internal/refsim -run '^$$' -fuzz FuzzKindStreamWrite -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDinCorrupt -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzBinCorrupt -fuzztime 20s

@@ -326,8 +326,9 @@ func benchDinText(b *testing.B, app workload.App) []byte {
 const benchIngestLog = 3
 
 // BenchmarkIngestSerial measures the path every sharded tool takes on
-// .din text: one goroutine decodes the bytes, materializes the block
-// stream, then partitions it with the two-pass ShardBlockStream walk.
+// .din text: MaterializeBlockStream decodes the bytes (chunk-parallel,
+// on GOMAXPROCS workers), then the two-pass ShardBlockStream walk
+// partitions the stream.
 // blocks/s is block references decoded and partitioned per second.
 func BenchmarkIngestSerial(b *testing.B) {
 	for _, app := range benchAccessApps {

@@ -87,16 +87,21 @@
 // # Pipeline architecture: result cache? → store? → decode once → fold → shard → engine → stitch
 //
 // A run never materializes the raw trace and never walks it twice.
-// The default decode is the serial reference,
-// trace.MaterializeBlockStream: one batched pass run-compresses the
-// trace into the finest-rung BlockStream. Sharding is a derived view,
+// The default decode is trace.MaterializeBlockStream, which
+// run-compresses the trace into the finest-rung BlockStream. For .din
+// text (every .din or .din.gz file trace.OpenFile opens) it runs the
+// span pipeline's chunk-parallel parser on GOMAXPROCS workers, with the
+// stitcher collecting the whole stream instead of cutting spans; other
+// readers take one batched serial pass. Both give the same stream, and
+// the same error for a corrupt input. Sharding is a derived view,
 // not a second decoder: trace.ShardBlockStream partitions a
 // materialized (or folded, or cache-loaded) stream into its 2^S
 // set-substreams in O(runs), bit-identical — including uint32
 // run-overflow splits — to partitioning the raw accesses (equivalence-
 // and fuzz-tested), so every downstream exactness argument carries
 // over unchanged. The one chunk-parallel decoder is the span pipeline
-// of the streaming tier below.
+// of the streaming tier below; the .din materialization is that same
+// pipeline in collect mode.
 //
 // The block-size axis of a design space rides on that single decode:
 // explore.Run decodes the trace once at the space's finest block size

@@ -266,6 +266,11 @@ func (s *selfClosingReader) ReadBatch(dst []trace.Access) (int, error) {
 	return len(dst), nil
 }
 
+// Unwrap exposes the file's reader, so trace.MaterializeBlockStream
+// decodes a .din file with its chunk-parallel parser. The one Next call
+// it makes afterwards reports io.EOF and closes the file.
+func (s *selfClosingReader) Unwrap() trace.Reader { return s.r }
+
 func (s *selfClosingReader) close() {
 	if s.closer != nil {
 		s.closer.Close()

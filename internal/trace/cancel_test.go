@@ -1,11 +1,14 @@
 package trace
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"dew/internal/leakcheck"
 	"dew/internal/pool"
@@ -50,7 +53,7 @@ func TestIngestCancelMidStream(t *testing.T) {
 	// What was emitted is an exact run-boundary prefix of the
 	// uninterrupted stream.
 	checkSpanInvariants(t, spans)
-	got := ConcatSpans(16, false, spans)
+	got := concatSpans(16, false, spans)
 	if got.Accesses >= want.Accesses {
 		t.Fatalf("cancelled pipeline emitted all %d accesses", got.Accesses)
 	}
@@ -109,7 +112,7 @@ func TestIngestDinCancelMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := &cancelByteReader{r: strings.NewReader(text), n: len(text) / 3, cancel: cancel}
-	p.start(ctx, st, spanDinProducer(r, 16, false, 4096))
+	p.start(ctx, st, p.dinProducer(r, 16, 4096))
 	var emitted uint64
 	for s := range p.Spans() {
 		emitted += s.Accesses
@@ -119,6 +122,33 @@ func TestIngestDinCancelMidStream(t *testing.T) {
 	}
 	if emitted >= 20000 {
 		t.Errorf("emitted %d accesses from a cancelled pipeline", emitted)
+	}
+}
+
+// TestMaterializeDinFaultDrains fails the chunk-parallel
+// materialization mid-stream — a corrupt line, an I/O error, a line
+// over the limit — and requires the typed error with every pipeline
+// goroutine gone by the time MaterializeBlockStream returns.
+func TestMaterializeDinFaultDrains(t *testing.T) {
+	defer leakcheck.Check(t)()
+	text := strings.Repeat("0 1000\n2 2004\n", 40000)
+	boom := errors.New("disk pulled")
+	for _, c := range []struct {
+		name string
+		src  io.Reader
+		want func(error) bool
+	}{
+		{"corrupt line", strings.NewReader(text[:len(text)/2] + "0 zz\n" + text),
+			func(err error) bool { return errors.Is(err, ErrCorrupt) }},
+		{"io error", io.MultiReader(strings.NewReader(text), iotest.ErrReader(boom)),
+			func(err error) bool { return errors.Is(err, boom) }},
+		{"line too long", strings.NewReader(text + strings.Repeat(" ", maxDinLine+1)),
+			func(err error) bool { return errors.Is(err, bufio.ErrTooLong) }},
+	} {
+		bs, err := MaterializeBlockStream(NewDinReader(c.src), 16)
+		if !c.want(err) || bs != nil {
+			t.Errorf("%s: got stream %v, error %v", c.name, bs != nil, err)
+		}
 	}
 }
 
@@ -158,9 +188,11 @@ func runJobs(t *testing.T, kinds bool, jobs ...ingestJob) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.start(context.Background(), st, func(emit func(ingestJob), stop func() bool) error {
+	p.start(context.Background(), st, func(emit func(ingestJob) bool) error {
 		for _, j := range jobs {
-			emit(j)
+			if !emit(j) {
+				return nil
+			}
 		}
 		return nil
 	})
@@ -170,7 +202,7 @@ func runJobs(t *testing.T, kinds bool, jobs ...ingestJob) error {
 
 func TestIngestWorkerPanic(t *testing.T) {
 	defer leakcheck.Check(t)()
-	err := runJobs(t, false, ingestJob{seq: 0, run: func() (*runChunk, error) {
+	err := runJobs(t, false, ingestJob{seq: 0, run: func(*chunkCompressor) error {
 		panic("worker exploded")
 	}})
 	var pe *pool.PanicError
@@ -184,8 +216,9 @@ func TestIngestStitcherPanicPoisons(t *testing.T) {
 	// A kind-mode chunk with no kind column makes the stitcher index out
 	// of range mid-apply: the torn state must end the pipeline as a
 	// contained panic, never a crash or a stream.
-	bad := ingestJob{seq: 0, run: func() (*runChunk, error) {
-		return &runChunk{ids: []uint64{1}, runs: []uint32{1}, accesses: 1, head: 1, tail: 1}, nil
+	bad := ingestJob{seq: 0, run: func(cc *chunkCompressor) error {
+		cc.c = runChunk{ids: []uint64{1}, runs: []uint32{1}, accesses: 1}
+		return nil
 	}}
 	var pe *pool.PanicError
 	if err := runJobs(t, true, bad); !errors.As(err, &pe) {

@@ -35,9 +35,12 @@ const (
 	// enough that per-chunk stitching cost is negligible, small enough
 	// that a handful of in-flight chunks fit in cache.
 	defaultIngestChunk = 1 << 16
-	// ingestDinChunkBytes caps the byte granularity of the parallel .din
-	// text parser (chunks are cut at line boundaries).
-	ingestDinChunkBytes = 1 << 20
+	// dinChunkBytes is the text chunk of the parallel .din parser,
+	// streamed or materialized (chunks are cut at line boundaries):
+	// small enough that the few chunks in flight stay in cache and cost
+	// no resident memory worth measuring, large enough that per-chunk
+	// overhead is noise.
+	dinChunkBytes = 64 << 10
 )
 
 // appendRun appends a run of w consecutive accesses to block id with
@@ -157,12 +160,19 @@ func (cc *chunkCompressor) addKindRun(id uint64, w uint32, kr KindRun) {
 	cc.c.kinds = append(cc.c.kinds, kr)
 }
 
-// finishEdges marks the chunk's edge spans and returns the chunk.
-func (cc *chunkCompressor) finishEdges() *runChunk {
+// reset empties the compressor for a new chunk in the given mode,
+// keeping its columns' capacity.
+func (cc *chunkCompressor) reset(kinds bool) {
+	c := &cc.c
+	*cc = chunkCompressor{kinds: kinds, c: runChunk{ids: c.ids[:0], runs: c.runs[:0], kinds: c.kinds[:0]}}
+}
+
+// finishEdges marks the chunk's edge spans.
+func (cc *chunkCompressor) finishEdges() {
 	c := &cc.c
 	n := len(c.ids)
 	if n == 0 {
-		return c
+		return
 	}
 	head := 1
 	for head < n && c.ids[head] == c.ids[0] {
@@ -175,40 +185,30 @@ func (cc *chunkCompressor) finishEdges() *runChunk {
 	if tail < head {
 		// Single span: the whole chunk is edge.
 		c.head, c.tail = n, n
-		return c
+		return
 	}
 	c.head, c.tail = head, tail
-	return c
 }
 
-// ingestJob is one chunk's parallel work unit.
+// ingestJob is one chunk's parallel work unit: run decodes the chunk
+// into an empty compressor, whose columns may be recycled from an
+// earlier chunk.
 type ingestJob struct {
 	seq int
-	run func() (*runChunk, error)
+	run func(cc *chunkCompressor) error
 }
 
 type ingestResult struct {
-	seq   int
-	chunk *runChunk
-	err   error
+	seq int
+	cc  *chunkCompressor
+	err error
 }
 
-// parseDinChunkEdges parses whole .din lines from b (the producer cuts
-// at line boundaries) into a run-compressed chunk with its edges
-// marked. startLine numbers b's first line, so errors name the same
-// line NewDinReader would.
-func parseDinChunkEdges(b []byte, startLine int, off uint, kinds bool) (*runChunk, error) {
-	cc, err := parseDinInto(b, startLine, off, kinds)
-	if err != nil {
-		return nil, err
-	}
-	return cc.finishEdges(), nil
-}
-
-// parseDinInto decodes b with the same zero-allocation field split as
-// DinReader, feeding block IDs straight into a chunk compressor.
-func parseDinInto(b []byte, startLine int, off uint, kinds bool) (*chunkCompressor, error) {
-	cc := &chunkCompressor{kinds: kinds}
+// parseDinInto decodes whole .din lines from b (the producer cuts at
+// line boundaries) with the same zero-allocation field split as
+// DinReader, feeding block IDs straight into cc. startLine numbers b's
+// first line, so errors name the same line NewDinReader would.
+func parseDinInto(cc *chunkCompressor, b []byte, startLine int, off uint) error {
 	line := startLine - 1
 	for len(b) > 0 {
 		var ln []byte
@@ -230,26 +230,26 @@ func parseDinInto(b []byte, startLine int, off uint, kinds bool) (*chunkCompress
 		i = skipField(ln, i)
 		addrEnd := i
 		if addrEnd == addrStart {
-			return nil, &CorruptError{Format: "din", Line: line, Offset: -1,
+			return &CorruptError{Format: "din", Line: line, Offset: -1,
 				Msg: fmt.Sprintf("need label and address, got %q", bytes.TrimSpace(ln))}
 		}
 		label, ok := parseLabel(ln[labelStart:labelEnd])
 		if !ok || !Kind(label).Valid() {
-			return nil, &CorruptError{Format: "din", Line: line, Offset: -1,
+			return &CorruptError{Format: "din", Line: line, Offset: -1,
 				Msg: fmt.Sprintf("bad label %q", ln[labelStart:labelEnd])}
 		}
 		addr, ok := parseHex(ln[addrStart:addrEnd])
 		if !ok {
-			return nil, &CorruptError{Format: "din", Line: line, Offset: -1,
+			return &CorruptError{Format: "din", Line: line, Offset: -1,
 				Msg: fmt.Sprintf("bad address %q", ln[addrStart:addrEnd])}
 		}
-		if kinds {
+		if cc.kinds {
 			cc.addAccess(addr>>off, Kind(label))
 		} else {
 			cc.add(addr>>off, 1)
 		}
 	}
-	return cc, nil
+	return nil
 }
 
 // blockShift returns log2 of a validated block size.

@@ -117,7 +117,7 @@ func TestIngestWeightedOverflow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameBlockStream(t, label, ConcatSpans(4, false, collectSpans(t, p)), want)
+		sameBlockStream(t, label, concatSpans(4, false, collectSpans(t, p)), want)
 	}
 	// Every split point, then one chunk per run.
 	for cut := 0; cut <= len(ids); cut++ {
@@ -155,7 +155,7 @@ func streamDinChunks(t *testing.T, text []byte, blockSize int, kinds bool, chunk
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.start(context.Background(), st, spanDinProducer(bytes.NewReader(text), blockSize, kinds, chunkBytes))
+	p.start(context.Background(), st, p.dinProducer(bytes.NewReader(text), blockSize, chunkBytes))
 	return p
 }
 
@@ -178,19 +178,19 @@ func TestIngestDinMatchesSerial(t *testing.T) {
 		for _, chunkBytes := range []int{1, 7, 100, 1 << 12} {
 			spans := collectSpans(t, streamDinChunks(t, text, 16, kinds, chunkBytes))
 			checkSpanInvariants(t, spans)
-			sameBlockStream(t, fmt.Sprintf("kinds=%v chunkBytes=%d", kinds, chunkBytes), ConcatSpans(16, kinds, spans), want)
+			sameBlockStream(t, fmt.Sprintf("kinds=%v chunkBytes=%d", kinds, chunkBytes), concatSpans(16, kinds, spans), want)
 		}
 	}
 }
 
 func TestIngestDinBlankAndPrefixes(t *testing.T) {
 	text := "2 0x40\n\n  1   80  trailing junk\n0 a0\n"
-	want, err := MaterializeBlockStream(NewDinReader(strings.NewReader(text)), 4)
+	want, err := MaterializeBlockStream(serialDin([]byte(text)), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spans := collectSpans(t, streamDinChunks(t, []byte(text), 4, false, 5))
-	sameBlockStream(t, "blank and prefixes", ConcatSpans(4, false, spans), want)
+	sameBlockStream(t, "blank and prefixes", concatSpans(4, false, spans), want)
 }
 
 func TestIngestDinErrorLineNumbers(t *testing.T) {
@@ -205,7 +205,7 @@ func TestIngestDinErrorLineNumbers(t *testing.T) {
 		t.Fatalf("error %q does not name line 3", err)
 	}
 	// The serial reader reports the same line.
-	_, serr := MaterializeBlockStream(NewDinReader(strings.NewReader(text)), 4)
+	_, serr := MaterializeBlockStream(serialDin([]byte(text)), 4)
 	if serr == nil || serr.Error() != err.Error() {
 		t.Fatalf("serial error %q, span pipeline error %q", serr, err)
 	}

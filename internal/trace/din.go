@@ -17,17 +17,41 @@ import (
 // ignored; anything after the address on a line is ignored (Dinero IV
 // tolerates trailing fields).
 
+// maxDinLine is the longest .din line accepted, its newline included;
+// a longer one is corrupt input ("line too long").
+const maxDinLine = 1 << 20
+
 // DinReader decodes the .din format from an io.Reader.
 type DinReader struct {
 	scanner *bufio.Scanner
 	line    int
+	// src is the input while nothing has been read from it; a
+	// materialization takes the whole input over from here (takeInput).
+	src io.Reader
 }
 
 // NewDinReader returns a DinReader wrapping r.
+//
+// MaterializeBlockStream and MaterializeBlockStreamWithKinds decode a
+// DinReader that has not been read yet with a chunk-parallel parser
+// instead of calling Next per line; the stream, and the error for a
+// corrupt input, are the same either way.
 func NewDinReader(r io.Reader) *DinReader {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	return &DinReader{scanner: sc}
+	sc.Buffer(make([]byte, 64*1024), maxDinLine)
+	return &DinReader{scanner: sc, src: r}
+}
+
+// takeInput hands the reader's undecoded input to the caller, or
+// returns nil when reading has begun. Afterwards the reader is
+// exhausted: Next reports io.EOF.
+func (d *DinReader) takeInput() io.Reader {
+	src := d.src
+	if src != nil {
+		d.src = nil
+		d.scanner = bufio.NewScanner(bytes.NewReader(nil))
+	}
+	return src
 }
 
 // Next implements Reader. It returns io.EOF at end of input and a
@@ -38,6 +62,7 @@ func NewDinReader(r io.Reader) *DinReader {
 // field-slice allocation), and the label and address parse directly
 // from the bytes. Only error construction allocates.
 func (d *DinReader) Next() (Access, error) {
+	d.src = nil
 	for d.scanner.Scan() {
 		d.line++
 		b := d.scanner.Bytes()

@@ -6,8 +6,12 @@ package trace_test
 
 import (
 	"bytes"
+	"compress/gzip"
+	"context"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -165,30 +169,126 @@ func TestDinFlipFault(t *testing.T) {
 	// error must name that exact line.
 	cfg := faultreader.Passthrough()
 	cfg.FlipAt, cfg.FlipMask = int64(50*7+2), 0x40 // '1' -> 'q'
-	bs, err := trace.MaterializeBlockStream(trace.NewDinReader(faultreader.New(strings.NewReader(text), cfg)), 16)
-	var ce *trace.CorruptError
-	if !errors.As(err, &ce) {
-		t.Fatalf("flipped din digit: %v, want *trace.CorruptError", err)
-	}
-	if ce.Line != 51 {
-		t.Errorf("corruption reported at line %d, want 51", ce.Line)
-	}
-	if bs != nil {
-		t.Error("corrupt din decode returned a partial stream")
+	for name, wrap := range dinDecoders {
+		bs, err := trace.MaterializeBlockStream(wrap(trace.NewDinReader(faultreader.New(strings.NewReader(text), cfg))), 16)
+		var ce *trace.CorruptError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: flipped din digit: %v, want *trace.CorruptError", name, err)
+		}
+		if ce.Line != 51 {
+			t.Errorf("%s: corruption reported at line %d, want 51", name, ce.Line)
+		}
+		if bs != nil {
+			t.Errorf("%s: corrupt din decode returned a partial stream", name)
+		}
 	}
 }
 
+// dinDecoders selects the two .din materializations: a bare
+// *trace.DinReader takes the chunk-parallel parser, one hidden behind
+// another type the per-line loop.
+var dinDecoders = map[string]func(*trace.DinReader) trace.Reader{
+	"parallel": func(d *trace.DinReader) trace.Reader { return d },
+	"serial":   func(d *trace.DinReader) trace.Reader { return struct{ trace.Reader }{d} },
+}
+
+// TestDinDeferredIOError fails the source of a .din decode at and
+// inside a line. Both decodes parse every byte read before the failure,
+// a partial last line included, as bufio.Scanner does: a corrupt
+// partial line reports a CorruptError, anything else the read error.
+// faultreader's default error is io.ErrUnexpectedEOF, the error a cut
+// .gz stream gives, which must not pass for the end of input.
 func TestDinDeferredIOError(t *testing.T) {
-	text := strings.Repeat("0 1000\n1 2000\n", 5000)
+	const pairs = 20000 // "0 1000\n1 2000\n", 14 bytes a pair: several 64 KiB chunks
+	text := strings.Repeat("0 1000\n1 2000\n", pairs)
 	boom := errors.New("disk pulled")
-	cfg := faultreader.Passthrough()
-	cfg.FailAt, cfg.Err = int64(len(text)/2), boom
-	bs, err := trace.MaterializeBlockStream(trace.NewDinReader(faultreader.New(strings.NewReader(text), cfg)), 16)
-	if !errors.Is(err, boom) {
-		t.Fatalf("din decode over dying reader: %v, want the injected error", err)
+	k := int64(pairs * 3 / 4) // the failure falls in the last chunk, not the first
+	cases := []struct {
+		name    string
+		failAt  int64
+		err     error
+		want    error
+		corrupt int // the line a CorruptError must name; 0 wants the read error
+	}{
+		{"line boundary", 14 * k, boom, boom, 0},
+		{"valid partial line", 14*k + 7 + 4, boom, boom, 0}, // "1 20"
+		{"bare label", 14*k + 2, boom, nil, int(2*k + 1)},   // "0 "
+		{"default error", 14 * k, nil, io.ErrUnexpectedEOF, 0},
+		{"default error mid-line", 14*k + 3, nil, io.ErrUnexpectedEOF, 0}, // "0 1"
 	}
-	if bs != nil {
-		t.Error("failed din decode returned a partial stream")
+	for _, tc := range cases {
+		cfg := faultreader.Passthrough()
+		cfg.FailAt, cfg.Err = tc.failAt, tc.err
+		msgs := map[string]string{}
+		for name, wrap := range dinDecoders {
+			bs, err := trace.MaterializeBlockStream(wrap(trace.NewDinReader(faultreader.New(strings.NewReader(text), cfg))), 16)
+			if bs != nil {
+				t.Errorf("%s/%s: failed din decode returned a partial stream", tc.name, name)
+			}
+			if err == nil {
+				t.Fatalf("%s/%s: decode over a dying reader succeeded", tc.name, name)
+			}
+			msgs[name] = err.Error()
+			if tc.corrupt == 0 {
+				if !errors.Is(err, tc.want) {
+					t.Errorf("%s/%s: %v, want %v", tc.name, name, err, tc.want)
+				}
+				continue
+			}
+			var ce *trace.CorruptError
+			if !errors.As(err, &ce) || ce.Line != tc.corrupt {
+				t.Errorf("%s/%s: %v, want a CorruptError at line %d", tc.name, name, err, tc.corrupt)
+			}
+		}
+		if msgs["parallel"] != msgs["serial"] {
+			t.Errorf("%s: parallel error %q, serial %q", tc.name, msgs["parallel"], msgs["serial"])
+		}
+	}
+}
+
+// TestDinGzipTruncation cuts a .din.gz short: the gzip reader reports
+// io.ErrUnexpectedEOF, and every decode, OpenFile's included, must
+// return it rather than the decoded prefix.
+func TestDinGzipTruncation(t *testing.T) {
+	var zbuf bytes.Buffer
+	zw := gzip.NewWriter(&zbuf)
+	if _, err := zw.Write([]byte(strings.Repeat("0 1000\n1 2000\n", 20000))); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cut := zbuf.Bytes()[:zbuf.Len()*3/4]
+	for name, wrap := range dinDecoders {
+		zr, err := gzip.NewReader(bytes.NewReader(cut))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs, err := trace.MaterializeBlockStream(wrap(trace.NewDinReader(zr)), 16)
+		if !errors.Is(err, io.ErrUnexpectedEOF) || bs != nil {
+			t.Errorf("%s: cut .din.gz decoded to (%v, %v), want io.ErrUnexpectedEOF", name, bs != nil, err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "cut.din.gz")
+	if err := os.WriteFile(path, cut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, c, err := trace.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if bs, err := trace.MaterializeBlockStream(r, 16); !errors.Is(err, io.ErrUnexpectedEOF) || bs != nil {
+		t.Errorf("OpenFile of a cut .din.gz decoded to (%v, %v), want io.ErrUnexpectedEOF", bs != nil, err)
+	}
+	p, err := trace.StreamFileSpans(context.Background(), path, 16, trace.SpanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range p.Spans() {
+	}
+	if err := p.Err(); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("streamed cut .din.gz: %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 

@@ -127,7 +127,7 @@ func FuzzDinCorrupt(f *testing.F) {
 			t.Fatal(err)
 		}
 		checkCorruptDecode(t, p, func() (*BlockStream, error) {
-			return MaterializeBlockStream(NewDinReader(strings.NewReader(in)), 16)
+			return MaterializeBlockStream(serialDin([]byte(in)), 16)
 		})
 	})
 }
@@ -169,7 +169,7 @@ func checkCorruptDecode(t *testing.T, p *StreamPipeline, serial func() (*BlockSt
 		t.Fatalf("span pipeline error %v, serial error %v", err, serr)
 	}
 	if err == nil {
-		sameBlockStream(t, "clean decode", ConcatSpans(16, false, spans), want)
+		sameBlockStream(t, "clean decode", concatSpans(16, false, spans), want)
 		return
 	}
 	if err.Error() != serr.Error() {

@@ -40,6 +40,22 @@ import (
 // Sequential consumers (the simulators' SimulateStream, fold's carry)
 // accumulate across spans, so span-by-span replay is bit-identical to
 // one monolithic replay.
+//
+// # Materialization
+//
+// The same engine is MaterializeBlockStream's .din decode: with the
+// stitcher in collect mode nothing is ever cut into spans, and the
+// pending stream it has accumulated at the end is the materialized
+// BlockStream itself, handed over without a copy.
+//
+// # Memory
+//
+// At most workers+2 chunks are in flight between producer and
+// stitcher, and their buffers are recycled: a .din text buffer returns
+// to the pipeline's free list once its chunk is parsed, a compressor's
+// columns once the stitcher has appended them. Steady-state text decode
+// therefore allocates nothing per chunk, and the working set beyond
+// the stitched stream is a few chunks.
 
 // Span is one contiguous segment of a run-compressed stream: the
 // embedded BlockStream holds final runs only, Start is the access
@@ -91,6 +107,10 @@ type StreamPipeline struct {
 	spanRuns int
 	chunkAcc int
 	workers  int
+
+	// Recycled per-chunk buffers (see "Memory" above).
+	text freeList[[]byte]
+	cols freeList[*chunkCompressor]
 
 	spansOut atomic.Uint64
 	accOut   atomic.Uint64
@@ -165,13 +185,16 @@ func spanGeometry(memBytes int64, workers int, kinds bool) (spanRuns, chunkAcc i
 }
 
 // spanStitcher consumes runChunks in stream order, maintains the
-// pending tail stream, and emits final runs as spans.
+// pending tail stream, and emits final runs as spans. In collect mode
+// it never emits: pend accumulates the whole stream, which is the
+// materialized result once the pipeline ends cleanly.
 type spanStitcher struct {
 	pend     BlockStream // pending runs; only the last is mutable
 	start    uint64      // access offset of pend's first access
 	seq      int
 	spanRuns int
 	kinds    bool
+	collect  bool
 	emit     func(*Span) error
 }
 
@@ -208,8 +231,11 @@ func (st *spanStitcher) add(c *runChunk) error {
 
 // flush emits spans of up to spanRuns final runs. While the stream may
 // continue the mutable tail run is withheld; finish passes final to
-// drain everything.
+// drain everything. A collecting stitcher keeps everything pending.
 func (st *spanStitcher) flush(final bool) error {
+	if st.collect {
+		return nil
+	}
 	for {
 		avail := len(st.pend.IDs)
 		if !final {
@@ -254,6 +280,32 @@ func (st *spanStitcher) emitSpan(n int) error {
 	return st.emit(s)
 }
 
+// freeList is a bounded pool of reusable buffers: get hands back a
+// recycled one, or the zero value when there is none; put keeps one
+// unless the list is full.
+type freeList[T any] chan T
+
+func (f freeList[T]) get() T {
+	select {
+	case v := <-f:
+		return v
+	default:
+		var zero T
+		return zero
+	}
+}
+
+func (f freeList[T]) put(v T) {
+	select {
+	case f <- v:
+	default:
+	}
+}
+
+// inFlight is the most chunks the pipeline holds between producer and
+// stitcher: one per worker, one queued and one being read.
+func (p *StreamPipeline) inFlight() int { return p.workers + 2 }
+
 // newStreamPipeline validates geometry and builds the pipeline shell
 // and its stitcher.
 func newStreamPipeline(blockSize int, opts SpanOptions) (*StreamPipeline, *spanStitcher, error) {
@@ -278,6 +330,8 @@ func newStreamPipeline(blockSize int, opts SpanOptions) (*StreamPipeline, *spanS
 		chunkAcc: chunkAcc,
 		workers:  workers,
 	}
+	p.text = make(freeList[[]byte], p.inFlight())
+	p.cols = make(freeList[*chunkCompressor], p.inFlight())
 	st := &spanStitcher{
 		pend:     BlockStream{BlockSize: blockSize},
 		spanRuns: spanRuns,
@@ -289,14 +343,18 @@ func newStreamPipeline(blockSize int, opts SpanOptions) (*StreamPipeline, *spanS
 	return p, st, nil
 }
 
+// producer cuts the input into chunk jobs, numbered from 0 in stream
+// order. emit blocks until the chunk may go in flight and reports
+// false once the pipeline is stopping; the producer then returns.
+type producer func(emit func(ingestJob) bool) error
+
 // start launches the pipeline goroutines: produce → compress workers →
 // ordered stitch, with the stitch on its own goroutine emitting spans
 // under backpressure. Every goroutine
 // body runs under pool.Protect — a panic anywhere surfaces as the
 // pipeline's terminal *pool.PanicError, never a crash — and the driver
 // never exits with pipeline goroutines still live.
-func (p *StreamPipeline) start(ctx context.Context, st *spanStitcher,
-	produce func(emit func(ingestJob), stop func() bool) error) {
+func (p *StreamPipeline) start(ctx context.Context, st *spanStitcher, produce producer) {
 	ctx, p.cancel = context.WithCancel(ctx)
 	st.emit = func(s *Span) error {
 		select {
@@ -311,8 +369,24 @@ func (p *StreamPipeline) start(ctx context.Context, st *spanStitcher,
 
 	jobs := make(chan ingestJob, p.workers)
 	results := make(chan ingestResult, p.workers)
+	// One token per emitted chunk, taken by emit and returned when the
+	// stitcher takes the chunk off its queue; with the chunk the
+	// producer is reading, inFlight chunks at most.
+	slots := make(chan struct{}, p.inFlight()-1)
 	var abort atomic.Bool
-	stop := func() bool { return abort.Load() || ctx.Err() != nil }
+	emit := func(j ingestJob) bool {
+		select {
+		case slots <- struct{}{}:
+		case <-ctx.Done():
+			return false
+		}
+		if abort.Load() || ctx.Err() != nil {
+			<-slots
+			return false
+		}
+		jobs <- j
+		return true
+	}
 
 	var wg sync.WaitGroup
 	for w := 0; w < p.workers; w++ {
@@ -320,21 +394,25 @@ func (p *StreamPipeline) start(ctx context.Context, st *spanStitcher,
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				var c *runChunk
+				cc := p.cols.get()
+				if cc == nil {
+					cc = new(chunkCompressor)
+				}
+				cc.reset(st.kinds)
 				err := pool.Protect(func() error {
-					var err error
-					c, err = j.run()
-					return err
+					if err := j.run(cc); err != nil {
+						return err
+					}
+					cc.finishEdges()
+					return nil
 				})
-				results <- ingestResult{seq: j.seq, chunk: c, err: err}
+				results <- ingestResult{seq: j.seq, cc: cc, err: err}
 			}
 		}()
 	}
 	prodErr := make(chan error, 1)
 	go func() {
-		err := pool.Protect(func() error {
-			return produce(func(j ingestJob) { jobs <- j }, stop)
-		})
+		err := pool.Protect(func() error { return produce(emit) })
 		close(jobs)
 		prodErr <- err
 	}()
@@ -352,35 +430,45 @@ func (p *StreamPipeline) start(ctx context.Context, st *spanStitcher,
 		}
 		// Ordered stitch: chunks apply strictly in seq order, so the
 		// emitted spans are always an exact prefix of the input at a run
-		// boundary.
-		pending := map[int]*runChunk{}
+		// boundary. A failed chunk queues in the same order, so the
+		// error reported is the lowest-numbered chunk's — the one the
+		// serial decode meets first — whichever worker finishes first.
+		pending := map[int]ingestResult{}
 		next := 0
 		var firstErr error
 		for res := range results {
 			if firstErr != nil {
-				continue // drain
-			}
-			if res.err != nil {
-				firstErr = res.err
-				abort.Store(true)
+				<-slots // drain
 				continue
 			}
-			pending[res.seq] = res.chunk
-			if err := pool.Protect(func() error {
+			if res.err != nil {
+				abort.Store(true) // later chunks are moot; earlier ones still count
+			}
+			pending[res.seq] = res
+			firstErr = pool.Protect(func() error {
 				for {
-					c, ok := pending[next]
+					r, ok := pending[next]
 					if !ok {
 						return nil
 					}
 					delete(pending, next)
-					if err := st.add(c); err != nil {
+					<-slots
+					if r.err != nil {
+						return r.err
+					}
+					if err := st.add(&r.cc.c); err != nil {
 						return err
 					}
+					p.cols.put(r.cc)
 					next++
 				}
-			}); err != nil {
-				firstErr = err
+			})
+			if firstErr != nil {
 				abort.Store(true)
+				for range pending {
+					<-slots
+				}
+				clear(pending)
 			}
 		}
 		if err := <-prodErr; err != nil && firstErr == nil {
@@ -405,17 +493,16 @@ func StreamSpans(ctx context.Context, r Reader, blockSize int, opts SpanOptions)
 	if err != nil {
 		return nil, err
 	}
-	p.start(ctx, st, spanReaderProducer(r, blockSize, opts.Kinds, p.chunkAcc))
+	p.start(ctx, st, p.readerProducer(r, blockSize, p.chunkAcc))
 	return p, nil
 }
 
-// spanReaderProducer emits chunk jobs from a batched access reader.
-func spanReaderProducer(r Reader, blockSize int, kinds bool, chunkSize int) func(emit func(ingestJob), stop func() bool) error {
+// readerProducer emits chunk jobs from a batched access reader.
+func (p *StreamPipeline) readerProducer(r Reader, blockSize int, chunkSize int) producer {
 	off := blockShift(blockSize)
-	return func(emit func(ingestJob), stop func() bool) error {
+	return func(emit func(ingestJob) bool) error {
 		br := Batch(r)
-		seq := 0
-		for !stop() {
+		for seq := 0; ; seq++ {
 			buf := make([]Access, chunkSize)
 			filled := 0
 			var err error
@@ -429,12 +516,11 @@ func spanReaderProducer(r Reader, blockSize int, kinds bool, chunkSize int) func
 			}
 			if filled > 0 {
 				accs := buf[:filled]
-				emit(ingestJob{seq: seq, run: func() (*runChunk, error) {
-					cc := &chunkCompressor{kinds: kinds}
-					if kinds {
+				if !emit(ingestJob{seq: seq, run: func(cc *chunkCompressor) error {
+					if cc.kinds {
 						for _, a := range accs {
 							if !a.Kind.Valid() {
-								return nil, fmt.Errorf("trace: invalid access kind %v at address %#x", a.Kind, a.Addr)
+								return fmt.Errorf("trace: invalid access kind %v at address %#x", a.Kind, a.Addr)
 							}
 							cc.addAccess(a.Addr>>off, a.Kind)
 						}
@@ -443,9 +529,10 @@ func spanReaderProducer(r Reader, blockSize int, kinds bool, chunkSize int) func
 							cc.add(a.Addr>>off, 1)
 						}
 					}
-					return cc.finishEdges(), nil
-				}})
-				seq++
+					return nil
+				}}) {
+					return nil
+				}
 			}
 			if err != nil {
 				if errors.Is(err, io.EOF) {
@@ -454,7 +541,6 @@ func spanReaderProducer(r Reader, blockSize int, kinds bool, chunkSize int) func
 				return err
 			}
 		}
-		return nil
 	}
 }
 
@@ -467,61 +553,108 @@ func StreamDinSpans(ctx context.Context, r io.Reader, blockSize int, opts SpanOp
 	if err != nil {
 		return nil, err
 	}
-	p.start(ctx, st, spanDinProducer(r, blockSize, opts.Kinds, p.dinChunkBytes()))
+	p.start(ctx, st, p.dinProducer(r, blockSize, dinChunkBytes))
 	return p, nil
 }
 
-// dinChunkBytes scales the text chunks with the budget: a .din line is
-// ≥ 8 bytes per access, so the access geometry bounds the byte
-// geometry.
-func (p *StreamPipeline) dinChunkBytes() int {
-	return max(64<<10, min(p.chunkAcc*16, ingestDinChunkBytes))
+// dinProducer emits one parse job per line-aligned chunk of .din text,
+// read into recycled buffers of about chunkBytes. The partial line at a
+// buffer's end moves to the start of the next one. A buffer holding no
+// line end grows, up to maxDinLine bytes; a line that fills that much
+// is rejected exactly as DinReader rejects it. Because no buffer is
+// larger, every line a buffer does hold whole is within the limit.
+func (p *StreamPipeline) dinProducer(r io.Reader, blockSize int, chunkBytes int) producer {
+	off := blockShift(blockSize)
+	newBuf := func(need int) []byte {
+		if b := p.text.get(); cap(b) >= need {
+			return b[:0]
+		}
+		return make([]byte, 0, min(max(need, chunkBytes), maxDinLine))
+	}
+	return func(emit func(ingestJob) bool) error {
+		seq, line := 0, 1 // line numbers the line that starts buf
+		buf := newBuf(chunkBytes)
+		for {
+			var err error
+			buf, err = fillDin(r, buf)
+			// A read error ends the input like EOF does: the bytes
+			// already read still parse, a partial last line included, as
+			// bufio.Scanner parses them, and a corrupt line among them
+			// wins over the read error because chunk errors do.
+			end := err != nil
+			cut := len(buf) // at the end of input every byte left is whole lines
+			if !end {
+				cut = bytes.LastIndexByte(buf, '\n') + 1
+				if cut == 0 {
+					if len(buf) >= maxDinLine {
+						return &CorruptError{Format: "din", Line: line, Offset: -1,
+							Msg: "line too long", Err: bufio.ErrTooLong}
+					}
+					grown := make([]byte, len(buf), min(2*cap(buf), maxDinLine))
+					copy(grown, buf)
+					buf = grown
+					continue
+				}
+			}
+			chunk, base := buf[:cut], line
+			line += bytes.Count(chunk, []byte{'\n'})
+			if !end {
+				rem := buf[cut:]
+				buf = append(newBuf(len(rem)+max(1, chunkBytes/2)), rem...)
+			}
+			if len(chunk) > 0 {
+				if !emit(ingestJob{seq: seq, run: func(cc *chunkCompressor) error {
+					defer p.text.put(chunk)
+					return parseDinInto(cc, chunk, base, off)
+				}}) {
+					return nil
+				}
+				seq++
+			}
+			if end {
+				if err == io.EOF {
+					return nil
+				}
+				return err
+			}
+		}
+	}
 }
 
-// spanDinProducer emits one parse job per line-aligned chunk of .din
-// text.
-func spanDinProducer(r io.Reader, blockSize int, kinds bool, chunkBytes int) func(emit func(ingestJob), stop func() bool) error {
-	off := blockShift(blockSize)
-	return func(emit func(ingestJob), stop func() bool) error {
-		var rem []byte
-		seq := 0
-		startLine := 1
-		emitChunk := func(b []byte) {
-			lines := bytes.Count(b, []byte{'\n'})
-			base := startLine
-			startLine += lines
-			emit(ingestJob{seq: seq, run: func() (*runChunk, error) {
-				return parseDinChunkEdges(b, base, off, kinds)
-			}})
-			seq++
+// fillDin reads from r into buf's spare capacity until it is full or r
+// returns an error. Only a bare io.EOF is the end of input, as for
+// bufio.Scanner: an io.ErrUnexpectedEOF from r itself, such as a cut
+// .gz stream's, is a failure (io.ReadFull would mistake it for a short
+// final read).
+func fillDin(r io.Reader, buf []byte) ([]byte, error) {
+	for len(buf) < cap(buf) {
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			return buf, err
 		}
-		for !stop() {
-			buf := make([]byte, len(rem)+chunkBytes)
-			copy(buf, rem)
-			n, err := io.ReadFull(r, buf[len(rem):])
-			buf = buf[:len(rem)+n]
-			rem = nil
-			if err != nil {
-				if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-					return err
-				}
-				if len(buf) > 0 {
-					emitChunk(buf)
-				}
-				return nil
-			}
-			cut := bytes.LastIndexByte(buf, '\n')
-			if cut < 0 {
-				// No line boundary yet (pathological line longer than
-				// the chunk): keep accumulating.
-				rem = buf
-				continue
-			}
-			emitChunk(buf[:cut+1])
-			rem = append([]byte(nil), buf[cut+1:]...)
-		}
-		return nil
 	}
+	return buf, nil
+}
+
+// materializeDin decodes .din text into a BlockStream with the span
+// pipeline's chunk-parallel parse, the stitcher collecting instead of
+// cutting spans. workers <= 0 means GOMAXPROCS; chunkBytes sizes the
+// text chunks.
+func materializeDin(r io.Reader, blockSize int, kinds bool, workers, chunkBytes int) (*BlockStream, error) {
+	p, st, err := newStreamPipeline(blockSize, SpanOptions{Workers: workers, Kinds: kinds})
+	if err != nil {
+		return nil, err
+	}
+	st.collect = true
+	// MaterializeBlockStream takes no context; the decode runs to the
+	// end of its input or its first error.
+	p.start(context.TODO(), st, p.dinProducer(r, blockSize, chunkBytes))
+	defer p.Close()
+	if err := p.Err(); err != nil {
+		return nil, err
+	}
+	return &st.pend, nil
 }
 
 // StreamFileSpans starts a span pipeline over a trace file,
@@ -550,9 +683,9 @@ func StreamFileSpans(ctx context.Context, name string, blockSize int, opts SpanO
 	}
 	p.closer = closer
 	if DetectFormat(name) == FormatBin {
-		p.start(ctx, st, spanReaderProducer(NewBinReader(bufio.NewReader(src)), blockSize, opts.Kinds, p.chunkAcc))
+		p.start(ctx, st, p.readerProducer(NewBinReader(bufio.NewReader(src)), blockSize, p.chunkAcc))
 	} else {
-		p.start(ctx, st, spanDinProducer(src, blockSize, opts.Kinds, p.dinChunkBytes()))
+		p.start(ctx, st, p.dinProducer(src, blockSize, dinChunkBytes))
 	}
 	return p, nil
 }
@@ -573,18 +706,14 @@ func streamWeightedSpans(ctx context.Context, blockSize int, opts SpanOptions, s
 	if spanRuns > 0 {
 		st.spanRuns = spanRuns
 	}
-	p.start(ctx, st, func(emit func(ingestJob), stop func() bool) error {
+	p.start(ctx, st, func(emit func(ingestJob) bool) error {
 		for seq := range ids {
-			if stop() {
-				return nil
-			}
 			cids, cruns := ids[seq], runs[seq]
 			var ckinds []KindRun
 			if kinds != nil {
 				ckinds = kinds[seq]
 			}
-			emit(ingestJob{seq: seq, run: func() (*runChunk, error) {
-				cc := &chunkCompressor{kinds: ckinds != nil}
+			if !emit(ingestJob{seq: seq, run: func(cc *chunkCompressor) error {
 				for i := range cids {
 					if ckinds != nil {
 						cc.addKindRun(cids[i], cruns[i], ckinds[i])
@@ -592,29 +721,12 @@ func streamWeightedSpans(ctx context.Context, blockSize int, opts SpanOptions, s
 						cc.add(cids[i], cruns[i])
 					}
 				}
-				return cc.finishEdges(), nil
-			}})
+				return nil
+			}}) {
+				return nil
+			}
 		}
 		return nil
 	})
 	return p, nil
-}
-
-// ConcatSpans materializes spans back into one stream — the equivalence
-// oracle the tests replay, and occasionally useful to a consumer that
-// discovers late it needs the whole stream after all.
-func ConcatSpans(blockSize int, kinds bool, spans []*Span) *BlockStream {
-	bs := &BlockStream{BlockSize: blockSize}
-	if kinds {
-		bs.Kinds = []KindRun{}
-	}
-	for _, s := range spans {
-		bs.IDs = append(bs.IDs, s.IDs...)
-		bs.Runs = append(bs.Runs, s.Runs...)
-		if kinds {
-			bs.Kinds = append(bs.Kinds, s.Kinds...)
-		}
-		bs.Accesses += s.Accesses
-	}
-	return bs
 }

@@ -27,6 +27,24 @@ func collectSpans(t *testing.T, p *StreamPipeline) []*Span {
 	return spans
 }
 
+// concatSpans materializes spans back into one stream — the
+// equivalence oracle the span tests replay.
+func concatSpans(blockSize int, kinds bool, spans []*Span) *BlockStream {
+	bs := &BlockStream{BlockSize: blockSize}
+	if kinds {
+		bs.Kinds = []KindRun{}
+	}
+	for _, s := range spans {
+		bs.IDs = append(bs.IDs, s.IDs...)
+		bs.Runs = append(bs.Runs, s.Runs...)
+		if kinds {
+			bs.Kinds = append(bs.Kinds, s.Kinds...)
+		}
+		bs.Accesses += s.Accesses
+	}
+	return bs
+}
+
 // checkSpanInvariants verifies ordering and per-span bookkeeping: Seq
 // dense from 0, Start continuous, Accesses equal to the run-weight sum.
 func checkSpanInvariants(t *testing.T, spans []*Span) {
@@ -67,7 +85,7 @@ func streamSpansWithRuns(ctx context.Context, r Reader, blockSize int, opts Span
 	if chunkAcc <= 0 {
 		chunkAcc = p.chunkAcc
 	}
-	p.start(ctx, st, spanReaderProducer(r, blockSize, opts.Kinds, chunkAcc))
+	p.start(ctx, st, p.readerProducer(r, blockSize, chunkAcc))
 	return p, nil
 }
 
@@ -96,7 +114,7 @@ func TestStreamSpansMatchesMaterialize(t *testing.T) {
 					}
 					spans := collectSpans(t, p)
 					checkSpanInvariants(t, spans)
-					got := ConcatSpans(block, kinds, spans)
+					got := concatSpans(block, kinds, spans)
 					label := fmt.Sprintf("n=%d block=%d kinds=%v spanRuns=%d chunk=%d", n, block, kinds, geo[0], geo[1])
 					sameBlockStream(t, label, got, want)
 					if p.EmittedSpans() != uint64(len(spans)) || p.EmittedAccesses() != want.Accesses {
@@ -161,7 +179,7 @@ func TestStreamDinSpans(t *testing.T) {
 		}
 		spans := collectSpans(t, p)
 		checkSpanInvariants(t, spans)
-		sameBlockStream(t, fmt.Sprintf("din kinds=%v", kinds), ConcatSpans(16, kinds, spans), want)
+		sameBlockStream(t, fmt.Sprintf("din kinds=%v", kinds), concatSpans(16, kinds, spans), want)
 	}
 
 	// A bad line aborts the pipeline with the exact line number, same as
@@ -205,7 +223,7 @@ func TestStreamFileSpans(t *testing.T) {
 			t.Fatal(err)
 		}
 		spans := collectSpans(t, p)
-		sameBlockStream(t, name, ConcatSpans(8, true, spans), want)
+		sameBlockStream(t, name, concatSpans(8, true, spans), want)
 	}
 	if _, err := StreamFileSpans(context.Background(), filepath.Join(dir, "missing.din"), 8, SpanOptions{}); err == nil {
 		t.Fatal("want error for missing file")
@@ -258,7 +276,7 @@ func TestStreamSpansWeightedOverflow(t *testing.T) {
 			spans := collectSpans(t, p)
 			checkSpanInvariants(t, spans)
 			label := fmt.Sprintf("chunk=%d spanRuns=%d", chunkN, spanRuns)
-			sameBlockStream(t, label, ConcatSpans(4, false, spans), parent)
+			sameBlockStream(t, label, concatSpans(4, false, spans), parent)
 
 			pk, err := streamWeightedSpans(context.Background(), 4, SpanOptions{Workers: 3}, spanRuns, cids, cruns, ckinds)
 			if err != nil {
@@ -266,7 +284,7 @@ func TestStreamSpansWeightedOverflow(t *testing.T) {
 			}
 			kspans := collectSpans(t, pk)
 			checkSpanInvariants(t, kspans)
-			sameBlockStream(t, label+" kinds", ConcatSpans(4, true, kspans), parentK)
+			sameBlockStream(t, label+" kinds", concatSpans(4, true, kspans), parentK)
 		}
 	}
 }
@@ -363,7 +381,7 @@ func FuzzSpanEquivalence(f *testing.F) {
 		}
 		spans := collectSpans(t, p)
 		checkSpanInvariants(t, spans)
-		sameBlockStream(t, "fuzz", ConcatSpans(block, kinds, spans), want)
+		sameBlockStream(t, "fuzz", concatSpans(block, kinds, spans), want)
 
 		// Weighted path: byte pairs become (id, near-max weight) runs
 		// with crafted kind records, split into chunks.
@@ -398,11 +416,11 @@ func FuzzSpanEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameBlockStream(t, "fuzz weighted", ConcatSpans(block, false, collectSpans(t, pw)), parent)
+		sameBlockStream(t, "fuzz weighted", concatSpans(block, false, collectSpans(t, pw)), parent)
 		pk, err := streamWeightedSpans(ctx, block, SpanOptions{Workers: 3}, spanRuns, cids, cruns, ckinds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameBlockStream(t, "fuzz weighted kinds", ConcatSpans(block, true, collectSpans(t, pk)), parentK)
+		sameBlockStream(t, "fuzz weighted kinds", concatSpans(block, true, collectSpans(t, pk)), parentK)
 	})
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/bits"
 )
@@ -162,9 +163,20 @@ func (b *BlockStream) appendKindRun(id uint64, kr KindRun) {
 // MaterializeBlockStream drains the reader into a run-compressed block
 // stream for the given block size. Reads go through the batched path
 // (trace.BatchReader), and runs are collapsed across batch boundaries.
+//
+// A *DinReader that has not been read yet — the reader OpenFile returns
+// for .din and .din.gz files — is decoded instead by the span
+// pipeline's chunk-parallel parser on GOMAXPROCS workers, its stitcher
+// collecting the whole stream (see span.go). The result, and the error
+// for a corrupt input, are identical to the per-line decode. Wrappers
+// that expose such a reader through an Unwrap() Reader method get the
+// same path; they then see one final Next call, which reports io.EOF.
 func MaterializeBlockStream(r Reader, blockSize int) (*BlockStream, error) {
 	if blockSize < 1 || blockSize&(blockSize-1) != 0 {
 		return nil, fmt.Errorf("trace: block size must be a positive power of two, got %d", blockSize)
+	}
+	if src := unreadDinInput(r); src != nil {
+		return materializeDinReader(r, src, blockSize, false)
 	}
 	bs := &BlockStream{BlockSize: blockSize}
 	off := uint(bits.TrailingZeros(uint(blockSize)))
@@ -189,6 +201,9 @@ func MaterializeBlockStreamWithKinds(r Reader, blockSize int) (*BlockStream, err
 	if blockSize < 1 || blockSize&(blockSize-1) != 0 {
 		return nil, fmt.Errorf("trace: block size must be a positive power of two, got %d", blockSize)
 	}
+	if src := unreadDinInput(r); src != nil {
+		return materializeDinReader(r, src, blockSize, true)
+	}
 	bs := &BlockStream{BlockSize: blockSize, Kinds: []KindRun{}}
 	off := uint(bits.TrailingZeros(uint(blockSize)))
 	var badKind error
@@ -211,6 +226,33 @@ func MaterializeBlockStreamWithKinds(r Reader, blockSize int) (*BlockStream, err
 		return nil, err
 	}
 	return bs, nil
+}
+
+// unreadDinInput takes over the input of the *DinReader behind r —
+// r itself, or reached through Unwrap() Reader methods — when nothing
+// has been read from it yet; otherwise it returns nil and leaves r
+// alone.
+func unreadDinInput(r Reader) io.Reader {
+	for {
+		switch v := r.(type) {
+		case *DinReader:
+			return v.takeInput()
+		case interface{ Unwrap() Reader }:
+			r = v.Unwrap()
+		default:
+			return nil
+		}
+	}
+}
+
+// materializeDinReader decodes src, the input taken over from r, in
+// parallel. r then observes the end of its input, as it would at the
+// end of the per-line loop, so a wrapper that releases resources at
+// io.EOF does so.
+func materializeDinReader(r Reader, src io.Reader, blockSize int, kinds bool) (*BlockStream, error) {
+	bs, err := materializeDin(src, blockSize, kinds, 0, dinChunkBytes)
+	_, _ = r.Next() // io.EOF: the input is consumed
+	return bs, err
 }
 
 // BlockStream materializes the in-memory trace at the given block size.

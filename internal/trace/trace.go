@@ -7,8 +7,8 @@
 // On top of the raw formats sits the decode-once stream frontend the
 // design-space layers ride: a trace is decoded exactly once into a
 // run-compressed BlockStream at the finest block size a run needs
-// (MaterializeBlockStream, the serial reference decode), every coarser
-// block size is fold-derived from it
+// (MaterializeBlockStream; .din text is parsed chunk-parallel, see
+// span.go), every coarser block size is fold-derived from it
 // in O(runs) (FoldBlockStream, FoldLadder), and each rung can be
 // partitioned into independent per-tree substreams (ShardBlockStream)
 // for the parallel passes — decode once → fold → shard, each stage
