@@ -990,7 +990,8 @@ func BenchmarkReplayMaterialized(b *testing.B) {
 }
 
 // BenchmarkReplayStreamed measures the same end-to-end replay through
-// the bounded span pipeline: decode and simulation overlap, and the
+// the bounded span pipeline and trace.ReplaySpans, the tools' streamed
+// replay: decode and simulation overlap, and the
 // resident stream state never exceeds the budget (reported as peakB —
 // the enforced bound, where the materialized baseline holds the whole
 // stream). The statistics accumulated by the engine are bit-identical
@@ -1006,24 +1007,18 @@ func BenchmarkReplayStreamed(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				eng, err := engine.New("dew", spec)
+				if err != nil {
+					b.Fatal(err)
+				}
 				pl, err := trace.StreamSpans(context.Background(),
 					workload.Stream(app.Generator(1), benchRequests), spec.BlockSize,
 					trace.SpanOptions{MemBytes: 4 << 20})
 				if err != nil {
 					b.Fatal(err)
 				}
-				eng, err := engine.New("dew", spec)
-				if err != nil {
-					pl.Close()
-					b.Fatal(err)
-				}
-				for s := range pl.Spans() {
-					if err := eng.SimulateStream(&s.BlockStream); err != nil {
-						pl.Close()
-						b.Fatal(err)
-					}
-				}
-				if err := pl.Err(); err != nil {
+				if _, err := trace.ReplaySpans(context.Background(), pl, []int{spec.BlockSize},
+					[][]trace.StreamSimulator{{eng}}, nil); err != nil {
 					b.Fatal(err)
 				}
 				peak = pl.ResidentBound()

@@ -116,9 +116,9 @@
 //
 // For traces too large to materialize — or whenever decode latency
 // should overlap simulation — the package's one chunk-parallel decoder
-// runs span by span: trace.StreamSpans (and StreamDinSpans /
-// StreamFileSpans) cuts the input into chunks (for .din text at line
-// boundaries, parsed by workers), run-compresses every chunk in
+// runs span by span: trace.StreamSpans (and StreamFileSpans) cuts the
+// input into chunks (for .din text at line boundaries, parsed by
+// workers), run-compresses every chunk in
 // parallel, and delivers the run-compressed stream as a bounded,
 // backpressured channel of spans, each span a self-contained
 // BlockStream slice with the exact per-access run semantics applied
@@ -126,15 +126,22 @@
 // bit-identical — run splits, kind channel and uint32 overflow handling
 // included — to the materialized stream (FuzzSpanEquivalence holds the
 // two shapes together). The
-// pipeline enforces SpanOptions.MemBytes as a hard bound on resident
-// decoded spans (ResidentBound reports it; the replay benchmarks
-// record it as peak_resident_bytes), overlaps the chunk-parallel
-// decode with the consumer, and honours context cancellation. The
-// incremental trace.LadderFolder folds each arriving span to every
-// rung of a block-size ladder on the fly, so the whole design space
-// still rides one decode; engines accumulate spans through the same
-// SimulateStream seam (one call per span, in order), with results
-// bit-identical to the phased materialize-then-replay path. The CLIs expose the tier as
+// pipeline sizes its spans and chunks from SpanOptions.MemBytes
+// (ResidentBound reports the resulting worst case, the replay's
+// folded-span buffers included; the replay benchmarks record it as
+// peak_resident_bytes), overlaps the chunk-parallel
+// decode with the consumer, and honours context cancellation. One
+// replay loop, trace.ReplaySpans, consumes the pipeline for dewsim,
+// refsim and explore: the incremental trace.LadderFolder folds each
+// arriving span to every rung of a block-size ladder on the fly, so the
+// whole design space still rides one decode, and every engine runs on
+// a goroutine of its own, accumulating its rung's spans through the
+// same SimulateStream seam (one call per span, in order, behind a
+// queue of depth one), with results bit-identical to the phased
+// materialize-then-replay path. The base rung's engines share the
+// pipeline's spans, which return to the pipeline once released; each
+// coarser rung's folded spans cycle through two buffers, so the
+// steady-state replay allocates nothing per span. The CLIs expose the tier as
 // -stream-mem BYTES (0 = materialize; mutually exclusive with -shards,
 // whose partitions need the whole stream resident), a cold streamed
 // pass publishes the finest rung to the artifact store without

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"context"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -10,8 +11,9 @@ import (
 
 // TestExploreDinMatchesDtb runs explore over a .din file and a .dtb file
 // holding the same accesses: explore's file source hands the .din
-// reader through to the chunk-parallel decode, which must rank the
-// space exactly as the binary decode does, with and without kinds.
+// reader through to the chunk-parallel decode, materialized or streamed
+// (-stream-mem), which must rank the space exactly as the binary decode
+// does, with and without kinds.
 func TestExploreDinMatchesDtb(t *testing.T) {
 	dir := t.TempDir()
 	din := filepath.Join(dir, "t.din")
@@ -21,7 +23,7 @@ func TestExploreDinMatchesDtb(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, extra := range [][]string{nil, {"-kinds"}} {
+	for _, extra := range [][]string{nil, {"-kinds"}, {"-stream-mem", "64KiB"}, {"-kinds", "-stream-mem", "64KiB"}} {
 		var tables []string
 		for _, path := range []string{din, dtb} {
 			args := append([]string{"-trace", path, "-maxlog-sets", "6", "-maxlog-block", "5", "-maxlog-assoc", "2", "-quiet", "-csv"}, extra...)
@@ -46,6 +48,21 @@ func TestExploreDinMatchesDtb(t *testing.T) {
 	if sc := r.(*selfClosingReader); sc.closer != nil {
 		t.Error("materialized .din source left its file open")
 	}
+	r = fileSource(din)()
+	p, err := trace.StreamSpans(context.Background(), r, 16, trace.SpanOptions{MemBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var streamed uint64
+	for s := range p.Spans() {
+		streamed += s.Accesses
+	}
+	if err := p.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if sc := r.(*selfClosingReader); sc.closer != nil {
+		t.Error("streamed .din source left its file open")
+	}
 	rb, closer, err := trace.OpenFile(dtb)
 	if err != nil {
 		t.Fatal(err)
@@ -58,5 +75,8 @@ func TestExploreDinMatchesDtb(t *testing.T) {
 	if got.Accesses != want.Accesses || !slices.Equal(got.IDs, want.IDs) || !slices.Equal(got.Runs, want.Runs) {
 		t.Errorf(".din source stream (%d accesses, %d runs) differs from .dtb (%d, %d)",
 			got.Accesses, got.Len(), want.Accesses, want.Len())
+	}
+	if streamed != want.Accesses {
+		t.Errorf(".din source streamed %d accesses, want %d", streamed, want.Accesses)
 	}
 }

@@ -229,17 +229,19 @@ func DewSim(ctx context.Context, env Env, args []string) error {
 			return renderDewSim(env, *csv, *counters, results, accesses, mode, sim, elapsed, traffics)
 		}
 		if streamMem > 0 {
-			// Streamed ladder replay: one bounded span pipeline decodes
-			// the trace chunk-parallel, the incremental fold derives
-			// every rung from each span as it appears, and each live
-			// rung's engine consumes its span in place — decode, fold
-			// and simulation overlap in bounded memory while the
-			// accumulated statistics stay bit-identical to the
-			// materialized replay. Warm rungs still merge from the
-			// result tier; a cold artifact cache additionally receives
-			// the finest rung, spooled span by span without the pass
-			// ever re-buffering the stream.
-			engs := make(map[int]engine.Engine, len(blockLadder))
+			// Streamed ladder replay (trace.ReplaySpans): one bounded
+			// span pipeline decodes the trace chunk-parallel, the
+			// incremental fold derives every rung from each span as it
+			// appears, and each live rung's engine consumes its spans
+			// on a goroutine of its own — decode, fold and simulation
+			// overlap in bounded memory while the accumulated
+			// statistics stay bit-identical to the materialized replay.
+			// Warm rungs still merge from the result tier; a cold
+			// artifact cache additionally receives the finest rung,
+			// spooled span by span without the pass ever re-buffering
+			// the stream.
+			engs := make([]engine.Engine, len(blockLadder))
+			sims := make([][]trace.StreamSimulator, len(blockLadder))
 			for i, b := range blockLadder {
 				if rungWarm[i] != nil {
 					continue
@@ -248,55 +250,16 @@ func DewSim(ctx context.Context, env Env, args []string) error {
 				if err != nil {
 					return err
 				}
-				engs[b] = eng
-			}
-			folder, err := trace.NewLadderFolder(blockLadder[0], blockLadder, writeSim)
-			if err != nil {
-				return err
+				engs[i] = eng
+				sims[i] = []trace.StreamSimulator{eng}
 			}
 			pl, err := tf.streamSpans(ctx, blockLadder[0], trace.SpanOptions{MemBytes: streamMem, Kinds: writeSim})
 			if err != nil {
 				return err
 			}
 			defer pl.Close()
-			var put *store.StreamPut
-			if cacheStore != nil && cacheKey != "" && !cacheStore.Has(cacheKey) {
-				put, _ = cacheStore.NewStreamPut(cacheKey, blockLadder[0], writeSim)
-			}
-			defer func() {
-				if put != nil {
-					put.Abort()
-				}
-			}()
-			visit := func(b int, s *trace.BlockStream) error {
-				if eng, ok := engs[b]; ok {
-					return eng.SimulateStream(s)
-				}
-				return nil
-			}
-			for s := range pl.Spans() {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				if put != nil {
-					if put.Add(&s.BlockStream) != nil {
-						put.Abort() // publish is best-effort; the replay goes on
-						put = nil
-					}
-				}
-				if err := folder.Feed(&s.BlockStream, visit); err != nil {
-					return err
-				}
-			}
-			if err := pl.Err(); err != nil {
+			if err := replaySpooled(ctx, pl, cacheStore, cacheKey, blockLadder, writeSim, sims); err != nil {
 				return err
-			}
-			if err := folder.Flush(visit); err != nil {
-				return err
-			}
-			if put != nil {
-				put.Commit(ctx)
-				put = nil
 			}
 			cachedRungs := 0
 			for i, b := range blockLadder {
@@ -305,7 +268,7 @@ func DewSim(ctx context.Context, env Env, args []string) error {
 					cachedRungs++
 					continue
 				}
-				eng := engs[b]
+				eng := engs[i]
 				rungResults := eng.Results()
 				results = append(results, rungResults...)
 				accesses = eng.Accesses()

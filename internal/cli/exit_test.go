@@ -75,3 +75,37 @@ func TestAnalyzeExitClasses(t *testing.T) {
 		}
 	}
 }
+
+// TestDewSimGzipTruncation: a .din.gz or .dtb.gz trace cut short —
+// inside the compressed data or in the gzip trailer — is an input
+// error (exit 3) on the materialized and the streamed path alike, and
+// no table is printed for the prefix that decoded.
+func TestDewSimGzipTruncation(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"t.din.gz", "t.dtb.gz"} {
+		full := filepath.Join(dir, name)
+		if _, _, err := run(t, TraceGen, "-app", "CJPEG", "-n", "60000", "-o", full); err != nil {
+			t.Fatal(err)
+		}
+		z, err := os.ReadFile(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{len(z) * 3 / 4, len(z) - 4} {
+			cut := filepath.Join(dir, "cut-"+name)
+			if err := os.WriteFile(cut, z[:n], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, extra := range [][]string{nil, {"-stream-mem", "256KiB"}} {
+				args := append([]string{"-trace", cut, "-blocks", "4,16", "-maxlog", "6"}, extra...)
+				out, _, err := run(t, DewSim, args...)
+				if got := ExitCode(err); got != ExitInput {
+					t.Errorf("%s cut to %d of %d bytes %v: exit %d (err %v), want %d", name, n, len(z), extra, got, err, ExitInput)
+				}
+				if out != "" {
+					t.Errorf("%s cut to %d bytes %v: printed output for the decoded prefix:\n%s", name, n, extra, out)
+				}
+			}
+		}
+	}
+}

@@ -126,9 +126,10 @@ func printRefStats(w io.Writer, stats refsim.Stats, tr refsim.Traffic) {
 // refSimStreamed is the -stream-mem path: one bounded span pipeline
 // decodes the trace chunk-parallel into kind-preserving spans and the
 // single-configuration reference engine consumes each span as it
-// appears — decode and simulation overlap, the resident stream state
-// stays within the budget, and the accumulated statistics are
-// bit-identical to the per-access replay for every policy (including
+// appears, on a goroutine of its own (trace.ReplaySpans) — decode and
+// simulation overlap, the resident stream state stays within the
+// budget, and the accumulated statistics are bit-identical to the
+// per-access replay for every policy (including
 // Random replacement: its generator steps once per eviction, evictions
 // happen only on a run's first access, and run compression preserves
 // exactly that sequence). With an artifact cache the pass publishes
@@ -154,42 +155,18 @@ func refSimStreamed(ctx context.Context, env Env, tf traceFlags, opts refsim.Opt
 		return err
 	}
 	defer pl.Close()
-	var put *store.StreamPut
+	var key string
 	if cacheStore != nil {
 		srcID, err := tf.sourceID()
 		if err != nil {
 			return err
 		}
-		if key := store.Key(srcID, cfg.BlockSize, 0, true); !cacheStore.Has(key) {
-			put, _ = cacheStore.NewStreamPut(key, cfg.BlockSize, true)
-		}
+		key = store.Key(srcID, cfg.BlockSize, 0, true)
 	}
-	defer func() {
-		if put != nil {
-			put.Abort()
-		}
-	}()
 	start := time.Now()
-	for s := range pl.Spans() {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if put != nil {
-			if put.Add(&s.BlockStream) != nil {
-				put.Abort() // publish is best-effort; the replay goes on
-				put = nil
-			}
-		}
-		if err := eng.SimulateStream(&s.BlockStream); err != nil {
-			return err
-		}
-	}
-	if err := pl.Err(); err != nil {
+	if err := replaySpooled(ctx, pl, cacheStore, key, []int{cfg.BlockSize}, true,
+		[][]trace.StreamSimulator{{eng}}); err != nil {
 		return err
-	}
-	if put != nil {
-		put.Commit(ctx)
-		put = nil
 	}
 	elapsed := time.Since(start)
 	stats := eng.(engine.RefStatser).RefStats()

@@ -1,8 +1,14 @@
 package cli
 
 import (
+	"context"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
+	"time"
+
+	"dew/internal/workload"
 )
 
 func TestParseMemBytes(t *testing.T) {
@@ -200,5 +206,76 @@ func TestExploreStreamed(t *testing.T) {
 	}
 	if _, _, err := run(t, Explore, "-app", "CJPEG", "-stream-mem", "1MiB", "-shards", "4"); err == nil || !IsUsage(err) {
 		t.Error("-stream-mem with -shards should be a usage error")
+	}
+}
+
+// TestStreamedReplayMatchesMaterialized is the streamed replay's
+// differential test at the tools: seeded workload traces through
+// dewsim ladders of 1-4 rungs (write-policy runs on the kind-preserving
+// stream included), explore spaces of 1-4 block sizes with kinds on
+// and off, and refsim over every policy axis, each with a 16 KiB
+// budget, which clamps spans to their 256-run minimum so every replay
+// crosses at least 50 spans. The streamed output must equal the
+// materialized one byte for byte, timing and provenance lines aside.
+// The seed is logged, and every failure names its invocation.
+func TestStreamedReplayMatchesMaterialized(t *testing.T) {
+	seed := time.Now().UnixNano()
+	t.Logf("seed %d", seed)
+	rng := rand.New(rand.NewSource(seed))
+	apps := workload.Apps()
+	// without drops every line starting with one of the prefixes.
+	without := func(out string, prefixes ...string) string {
+		var keep []string
+		for _, line := range strings.Split(out, "\n") {
+			drop := false
+			for _, p := range prefixes {
+				drop = drop || strings.HasPrefix(line, p)
+			}
+			if !drop {
+				keep = append(keep, line)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
+	pick := func(xs ...string) string { return xs[rng.Intn(len(xs))] }
+	ladder := func() string {
+		b := 4 << rng.Intn(2)
+		var rungs []string
+		for n := 1 + rng.Intn(4); len(rungs) < n; b <<= 1 + rng.Intn(2) {
+			rungs = append(rungs, fmt.Sprint(b))
+		}
+		return strings.Join(rungs, ",")
+	}
+	for i := 0; i < 3; i++ {
+		src := []string{"-app", apps[rng.Intn(len(apps))].Name, "-seed", fmt.Sprint(rng.Uint64() % 1000000),
+			"-n", fmt.Sprint(60000 + rng.Intn(30000))}
+		cases := []struct {
+			entry func(context.Context, Env, []string) error
+			args  []string
+			drop  []string
+		}{
+			{DewSim, append([]string{"-blocks", ladder(), "-assoc", pick("1", "2", "4"), "-maxlog", "8", "-csv"}, src...),
+				[]string{"simulated "}},
+			{DewSim, append([]string{"-blocks", ladder(), "-engine", "ref", "-minlog", "5", "-maxlog", "5", "-assoc", "2",
+				"-write", pick("wb", "wt"), "-alloc", pick("wa", "nwa"), "-csv"}, src...), []string{"simulated "}},
+			{Explore, append([]string{"-maxlog-sets", "6", "-maxlog-block", fmt.Sprint(rng.Intn(4)), "-maxlog-assoc", "2",
+				"-quiet", "-csv", pick("-kinds", "-quiet")}, src...), nil},
+			{RefSim, append([]string{"-sets", "64", "-assoc", "2", "-block", pick("4", "16", "64"),
+				"-policy", pick("FIFO", "LRU", "Random"), "-write", pick("wb", "wt"), "-alloc", pick("wa", "nwa")}, src...),
+				[]string{"replay:"}},
+		}
+		for _, c := range cases {
+			mat, _, err := run(t, c.entry, c.args...)
+			if err != nil {
+				t.Fatalf("seed %d, %v: %v", seed, c.args, err)
+			}
+			str, _, err := run(t, c.entry, append(c.args, "-stream-mem", "16KiB")...)
+			if err != nil {
+				t.Fatalf("seed %d, %v -stream-mem 16KiB: %v", seed, c.args, err)
+			}
+			if without(str, c.drop...) != without(mat, c.drop...) {
+				t.Errorf("seed %d, %v: streamed output differs from materialized:\n%s\nvs\n%s", seed, c.args, str, mat)
+			}
+		}
 	}
 }

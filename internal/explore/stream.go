@@ -36,9 +36,10 @@ func mergeStats(res *Result, includeAssoc1 bool, results []engine.Result) error 
 // (trace.StreamSpans — chunk-parallel, backpressured against the memory
 // budget), the streaming fold ladder derives every coarser rung span by
 // span, and every live pass's engine consumes its rung's spans as they
-// appear. The engines are sequential state machines whose SimulateStream
-// accumulates across calls, so the merged results are bit-identical to
-// the materialized schedule; only peak memory and overlap change. Warm
+// appear, each on a goroutine of its own (trace.ReplaySpans). The
+// engines are sequential state machines whose SimulateStream accumulates
+// across calls, so the merged results are bit-identical to the
+// materialized schedule; only peak memory and overlap change. Warm
 // passes are still served from the result tier, the sampled warm pass
 // re-simulates on the same spans, and — with a cache configured and the
 // finest-rung entry absent — the pass publishes that rung to the stream
@@ -49,9 +50,13 @@ func runStreamed(ctx context.Context, req Request, name string, passes []passSpe
 	blocks := req.Space.BlockSizes()
 
 	// One engine per pass that replays live this run (result-tier misses
-	// plus the sampled warm check), grouped by rung for the fold visits.
+	// plus the sampled warm check), grouped by rung for the replay.
 	engs := make([]engine.Engine, len(passes))
-	byBlock := make(map[int][]int, len(blocks))
+	rungOf := make(map[int]int, len(blocks))
+	for r, b := range blocks {
+		rungOf[b] = r
+	}
+	sims := make([][]trace.StreamSimulator, len(blocks))
 	for i, ps := range passes {
 		if warmBlobs[i] != nil && i != checkIdx {
 			continue
@@ -61,13 +66,10 @@ func runStreamed(ctx context.Context, req Request, name string, passes []passSpe
 			return nil, fmt.Errorf("explore: pass B=%d A=%d: %w", ps.block, ps.assoc, err)
 		}
 		engs[i] = e
-		byBlock[ps.block] = append(byBlock[ps.block], i)
+		r := rungOf[ps.block]
+		sims[r] = append(sims[r], e)
 	}
 
-	folder, err := trace.NewLadderFolder(blocks[0], blocks, req.Kinds)
-	if err != nil {
-		return nil, err
-	}
 	p, err := trace.StreamSpans(ctx, req.Source(), blocks[0], trace.SpanOptions{
 		MemBytes: req.StreamMem, Workers: workers, Kinds: req.Kinds,
 	})
@@ -88,58 +90,37 @@ func runStreamed(ctx context.Context, req Request, name string, passes []passSpe
 			}
 		}
 	}
-	defer func() {
-		if put != nil {
-			put.Abort()
-		}
-	}()
-
-	// Per-rung stream shape (for StreamCompression and the result-tier
-	// scalars) and trace-wide kind totals accumulate across spans;
-	// folding and span cuts both preserve access counts exactly.
-	accesses := make(map[int]uint64, len(blocks))
-	runs := make(map[int]uint64, len(blocks))
-	var kt [3]uint64
-	visit := func(b int, s *trace.BlockStream) error {
-		accesses[b] += s.Accesses
-		runs[b] += uint64(s.Len())
-		for _, i := range byBlock[b] {
-			if err := engs[i].SimulateStream(s); err != nil {
-				ps := passes[i]
-				return fmt.Errorf("explore: pass B=%d A=%d: %w", ps.block, ps.assoc, err)
-			}
-		}
-		return nil
+	if put != nil {
+		defer put.Abort() // a no-op after Commit
 	}
-	for s := range p.Spans() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if put != nil {
-			if err := put.Add(&s.BlockStream); err != nil {
-				put.Abort()
-				put = nil
-			}
+
+	// The trace-wide kind totals accumulate across spans; the per-rung
+	// stream shape (for StreamCompression and the result-tier scalars)
+	// comes back from the replay. Folding and span cuts both preserve
+	// access counts exactly.
+	var kt [3]uint64
+	tap := func(s *trace.Span) {
+		if put != nil && put.Add(&s.BlockStream) != nil {
+			put.Abort()
+			put = nil
 		}
 		if req.Kinds {
-			t := s.KindTotals()
-			for k, n := range t {
+			for k, n := range s.KindTotals() {
 				kt[k] += n
 			}
 		}
-		if err := folder.Feed(&s.BlockStream, visit); err != nil {
-			return nil, err
-		}
 	}
-	if err := p.Err(); err != nil {
-		return nil, fmt.Errorf("explore: streaming block-%d spans: %w", blocks[0], err)
-	}
-	if err := folder.Flush(visit); err != nil {
-		return nil, err
+	totals, err := trace.ReplaySpans(ctx, p, blocks, sims, tap)
+	if err != nil {
+		return nil, fmt.Errorf("explore: streamed block-%d replay: %w", blocks[0], err)
 	}
 	if put != nil {
 		put.Commit(ctx)
-		put = nil
+	}
+	accesses := make(map[int]uint64, len(blocks))
+	runs := make(map[int]uint64, len(blocks))
+	for r, b := range blocks {
+		accesses[b], runs[b] = totals[r].Accesses, totals[r].Runs
 	}
 
 	res := &Result{

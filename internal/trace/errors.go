@@ -63,8 +63,10 @@ func (e *CorruptError) Unwrap() error { return e.Err }
 func (e *CorruptError) Is(target error) bool { return target == ErrCorrupt }
 
 // TruncatedError reports input that ended mid-record: Offset is the
-// byte offset where the record started (-1 when unknown) and Accesses
-// is how many accesses decoded cleanly before the cut.
+// byte offset where the record started (-1 when unknown; for a cut
+// gzip stream, the decompressed bytes read before the cut) and Accesses
+// is how many accesses decoded cleanly before the cut, when the layer
+// that noticed the cut counts accesses.
 type TruncatedError struct {
 	Format   string
 	Offset   int64
@@ -76,6 +78,9 @@ func (e *TruncatedError) Error() string {
 	pos := ""
 	if e.Offset >= 0 {
 		pos = fmt.Sprintf(" at offset %d", e.Offset)
+	}
+	if e.Accesses == 0 {
+		return fmt.Sprintf("trace: truncated %s input%s", e.Format, pos)
 	}
 	return fmt.Sprintf("trace: truncated %s input%s (after %d accesses)", e.Format, pos, e.Accesses)
 }

@@ -9,6 +9,7 @@ import (
 	"compress/gzip"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -246,19 +247,26 @@ func TestDinDeferredIOError(t *testing.T) {
 	}
 }
 
-// TestDinGzipTruncation cuts a .din.gz short: the gzip reader reports
-// io.ErrUnexpectedEOF, and every decode, OpenFile's included, must
-// return it rather than the decoded prefix.
-func TestDinGzipTruncation(t *testing.T) {
+// gzipBytes compresses b.
+func gzipBytes(t *testing.T, b []byte) []byte {
+	t.Helper()
 	var zbuf bytes.Buffer
 	zw := gzip.NewWriter(&zbuf)
-	if _, err := zw.Write([]byte(strings.Repeat("0 1000\n1 2000\n", 20000))); err != nil {
+	if _, err := zw.Write(b); err != nil {
 		t.Fatal(err)
 	}
 	if err := zw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cut := zbuf.Bytes()[:zbuf.Len()*3/4]
+	return zbuf.Bytes()
+}
+
+// TestDinGzipTruncation cuts a .din.gz short: the gzip reader reports
+// io.ErrUnexpectedEOF, and every decode must return it rather than the
+// decoded prefix.
+func TestDinGzipTruncation(t *testing.T) {
+	z := gzipBytes(t, []byte(strings.Repeat("0 1000\n1 2000\n", 20000)))
+	cut := z[:len(z)*3/4]
 	for name, wrap := range dinDecoders {
 		zr, err := gzip.NewReader(bytes.NewReader(cut))
 		if err != nil {
@@ -269,26 +277,58 @@ func TestDinGzipTruncation(t *testing.T) {
 			t.Errorf("%s: cut .din.gz decoded to (%v, %v), want io.ErrUnexpectedEOF", name, bs != nil, err)
 		}
 	}
-	path := filepath.Join(t.TempDir(), "cut.din.gz")
-	if err := os.WriteFile(path, cut, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r, c, err := trace.OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if bs, err := trace.MaterializeBlockStream(r, 16); !errors.Is(err, io.ErrUnexpectedEOF) || bs != nil {
-		t.Errorf("OpenFile of a cut .din.gz decoded to (%v, %v), want io.ErrUnexpectedEOF", bs != nil, err)
-	}
-	p, err := trace.StreamFileSpans(context.Background(), path, 16, trace.SpanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for range p.Spans() {
-	}
-	if err := p.Err(); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("streamed cut .din.gz: %v, want io.ErrUnexpectedEOF", err)
+}
+
+// TestGzipFileTruncation cuts .din.gz and .dtb.gz files short, inside
+// the compressed data, in the gzip trailer and inside the gzip header:
+// OpenFile's reader and StreamFileSpans report a *TruncatedError, which
+// still matches io.ErrUnexpectedEOF, instead of the decoded prefix. A
+// .din cut mid-line may report that partial line's *CorruptError
+// instead, as the serial decode does; both are input errors.
+func TestGzipFileTruncation(t *testing.T) {
+	dtb, _ := binPayload(t, 60000)
+	dir := t.TempDir()
+	for name, raw := range map[string][]byte{
+		"t.din.gz": []byte(strings.Repeat("0 1000\n1 2000\n2 3000\n", 20000)),
+		"t.dtb.gz": dtb,
+	} {
+		z := gzipBytes(t, raw)
+		for _, n := range []int{len(z) * 3 / 4, len(z) - 4, 5} {
+			label := fmt.Sprintf("%s cut to %d of %d bytes", name, n, len(z))
+			path := filepath.Join(dir, name)
+			if err := os.WriteFile(path, z[:n], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			checkTruncated := func(how string, err error) {
+				t.Helper()
+				var te *trace.TruncatedError
+				var ce *trace.CorruptError
+				if strings.HasSuffix(name, ".din.gz") && errors.As(err, &ce) {
+					return
+				}
+				if !errors.As(err, &te) || !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Errorf("%s, %s: %v, want a *trace.TruncatedError matching io.ErrUnexpectedEOF", label, how, err)
+				}
+			}
+			r, c, err := trace.OpenFile(path)
+			if err != nil {
+				checkTruncated("open", err)
+				continue
+			}
+			bs, err := trace.MaterializeBlockStream(r, 16)
+			c.Close()
+			if bs != nil {
+				t.Errorf("%s: materialized the decoded prefix", label)
+			}
+			checkTruncated("materialized", err)
+			p, err := trace.StreamFileSpans(context.Background(), path, 16, trace.SpanOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range p.Spans() {
+			}
+			checkTruncated("streamed", p.Err())
+		}
 	}
 }
 

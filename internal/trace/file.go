@@ -2,6 +2,7 @@ package trace
 
 import (
 	"compress/gzip"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -31,7 +32,8 @@ func DetectFormat(name string) Format {
 
 // OpenFile opens a trace file for streaming reads, transparently
 // decompressing ".gz" files and selecting the decoder from the file name.
-// The returned closer must be closed by the caller.
+// A ".gz" file cut short fails with a *TruncatedError, like any other
+// truncated trace. The returned closer must be closed by the caller.
 func OpenFile(name string) (Reader, io.Closer, error) {
 	f, err := os.Open(name)
 	if err != nil {
@@ -43,10 +45,11 @@ func OpenFile(name string) (Reader, io.Closer, error) {
 		gz, err := gzip.NewReader(f)
 		if err != nil {
 			f.Close()
-			return nil, nil, fmt.Errorf("trace: opening %s: %w", name, err)
+			return nil, nil, fmt.Errorf("trace: opening %s: %w", name, gzipTruncated(err, 0))
 		}
-		closers = append(closers, gz)
-		src = gz
+		gzr := &gzipReader{gz: gz}
+		closers = append(closers, gzr)
+		src = gzr
 	}
 	switch DetectFormat(name) {
 	case FormatBin:
@@ -54,6 +57,32 @@ func OpenFile(name string) (Reader, io.Closer, error) {
 	default:
 		return NewDinReader(src), closers, nil
 	}
+}
+
+// gzipReader passes a gzip stream through, reporting a stream that ends
+// early as a *TruncatedError instead of gzip's bare io.ErrUnexpectedEOF.
+type gzipReader struct {
+	gz  *gzip.Reader
+	off int64 // decompressed bytes delivered
+}
+
+func (g *gzipReader) Read(p []byte) (int, error) {
+	n, err := g.gz.Read(p)
+	g.off += int64(n)
+	return n, gzipTruncated(err, g.off)
+}
+
+func (g *gzipReader) Close() error { return g.gz.Close() }
+
+// gzipTruncated wraps gzip's io.ErrUnexpectedEOF, which it returns for
+// a stream cut short, as a *TruncatedError at decompressed offset off;
+// errors.Is(err, io.ErrUnexpectedEOF) still holds. Other errors pass
+// through.
+func gzipTruncated(err error, off int64) error {
+	if errors.Is(err, io.ErrUnexpectedEOF) {
+		return &TruncatedError{Format: "gzip", Offset: off, Err: err}
+	}
+	return err
 }
 
 // CreateFile creates a trace file for writing, selecting the encoder and
@@ -75,11 +104,11 @@ func CreateFile(name string) (Writer, io.Closer, error) {
 	switch DetectFormat(name) {
 	case FormatBin:
 		bw := NewBinWriter(dst)
-		closers = append(multiCloser{flushCloser{bw.Flush}}, closers...)
+		closers = append(multiCloser{closeFunc(bw.Flush)}, closers...)
 		w = bw
 	default:
 		dw := NewDinWriter(dst)
-		closers = append(multiCloser{flushCloser{dw.Flush}}, closers...)
+		closers = append(multiCloser{closeFunc(dw.Flush)}, closers...)
 		w = dw
 	}
 	closers = append(closers, f)
@@ -100,7 +129,7 @@ func (m multiCloser) Close() error {
 	return first
 }
 
-// flushCloser adapts a Flush method to io.Closer.
-type flushCloser struct{ flush func() error }
+// closeFunc adapts a function, such as a Flush method, to io.Closer.
+type closeFunc func() error
 
-func (f flushCloser) Close() error { return f.flush() }
+func (f closeFunc) Close() error { return f() }

@@ -122,7 +122,7 @@ func FuzzDinCorrupt(f *testing.F) {
 	f.Add("0 1000")
 	f.Add(strings.Repeat("1 40\n", 300))
 	f.Fuzz(func(t *testing.T, in string) {
-		p, err := StreamDinSpans(context.Background(), strings.NewReader(in), 16, SpanOptions{Workers: 2})
+		p, err := StreamSpans(context.Background(), NewDinReader(strings.NewReader(in)), 16, SpanOptions{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,14 +3,11 @@ package trace
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -56,6 +53,16 @@ import (
 // columns once the stitcher has appended them. Steady-state text decode
 // therefore allocates nothing per chunk, and the working set beyond
 // the stitched stream is a few chunks.
+//
+// Spans are recycled the same way when ReplaySpans consumes them: once
+// the fold and every base-rung simulator have released a span, it
+// returns to the pipeline and a later emitSpan cuts into its columns,
+// so a steady-state streamed replay allocates nothing per span either.
+// The replay holds at most three spans at once (see maxSpansCut), which
+// the budget counts; its folded-rung copies and the fold's scratch it
+// adds to ResidentBound when it starts. A consumer that does not hand
+// spans back, such as one ranging over Spans itself, simply leaves
+// them to the garbage collector.
 
 // Span is one contiguous segment of a run-compressed stream: the
 // embedded BlockStream holds final runs only, Start is the access
@@ -76,6 +83,15 @@ const DefaultSpanMemBytes = 64 << 20
 // enough to keep decode ahead of the replay loop, small enough that the
 // channel never holds a meaningful share of the budget.
 const spanChanCap = 2
+
+// maxSpansCut is the most spans cut from the pending tail and not yet
+// recycled: spanChanCap in the channel, one in flight to it, and three
+// at ReplaySpans — the span its consumer is folding and, at the
+// base-rung simulators, one queued and one being simulated. A
+// simulator takes span k+1 off its queue only after finishing span k,
+// and the consumer hands a span to every simulator before it takes the
+// next, so all base-rung simulators together hold two distinct spans.
+const maxSpansCut = spanChanCap + 4
 
 // SpanOptions configures a span pipeline.
 type SpanOptions struct {
@@ -107,10 +123,12 @@ type StreamPipeline struct {
 	spanRuns int
 	chunkAcc int
 	workers  int
+	kinds    bool
 
-	// Recycled per-chunk buffers (see "Memory" above).
-	text freeList[[]byte]
-	cols freeList[*chunkCompressor]
+	// Recycled per-chunk buffers and spans (see "Memory" above).
+	text  freeList[[]byte]
+	cols  freeList[*chunkCompressor]
+	spanP spanPool
 
 	spansOut atomic.Uint64
 	accOut   atomic.Uint64
@@ -143,8 +161,10 @@ func (p *StreamPipeline) MemBytes() int64 { return p.memBytes }
 
 // ResidentBound returns the pipeline's worst-case resident bytes under
 // the resolved geometry: every bufferable span live at once plus every
-// worker's in-flight decode chunk. This is the figure provenance
-// reports as "peak resident".
+// worker's in-flight decode chunk, and, once ReplaySpans has started
+// on the pipeline, the folded-rung spans the replay holds. This is the
+// figure provenance reports as "peak resident"; read it after the
+// replay.
 func (p *StreamPipeline) ResidentBound() int64 { return p.resident }
 
 // EmittedSpans returns the spans emitted so far (final once Err
@@ -168,9 +188,9 @@ func bytesPerSpanRun(kinds bool) int64 {
 // instead of failing. workers must already be resolved.
 func spanGeometry(memBytes int64, workers int, kinds bool) (spanRuns, chunkAcc int, resident int64) {
 	bpr := bytesPerSpanRun(kinds)
-	// Buffered spans: chanCap in the channel, one being built in the
-	// pending tail, one held by the consumer, one in flight.
-	liveSpans := int64(spanChanCap + 3)
+	// Buffered spans: every span cut and not yet recycled, plus the
+	// one being built in the pending tail.
+	liveSpans := int64(maxSpansCut + 1)
 	spanRuns = int(memBytes / 2 / (bpr * liveSpans))
 	spanRuns = max(256, min(spanRuns, 1<<22))
 	// In-flight chunks: one per worker plus one queued and one being
@@ -195,6 +215,7 @@ type spanStitcher struct {
 	spanRuns int
 	kinds    bool
 	collect  bool
+	spans    *spanPool
 	emit     func(*Span) error
 }
 
@@ -251,18 +272,19 @@ func (st *spanStitcher) flush(final bool) error {
 	return nil
 }
 
-// emitSpan cuts the first n (final) pending runs into a Span and
-// compacts the pending tail.
+// emitSpan cuts the first n (final) pending runs into a Span, reusing
+// a recycled span's columns when there is one, and compacts the pending
+// tail.
 func (st *spanStitcher) emitSpan(n int) error {
-	s := &Span{Seq: st.seq, Start: st.start}
-	s.BlockStream = BlockStream{
-		BlockSize: st.pend.BlockSize,
-		IDs:       append([]uint64(nil), st.pend.IDs[:n]...),
-		Runs:      append([]uint32(nil), st.pend.Runs[:n]...),
-	}
+	s := st.spans.get()
+	s.Seq, s.Start = st.seq, st.start
+	s.BlockSize = st.pend.BlockSize
+	s.IDs = append(s.IDs[:0], st.pend.IDs[:n]...)
+	s.Runs = append(s.Runs[:0], st.pend.Runs[:n]...)
 	if st.kinds {
-		s.Kinds = append([]KindRun(nil), st.pend.Kinds[:n]...)
+		s.Kinds = append(s.Kinds[:0], st.pend.Kinds[:n]...)
 	}
+	s.Accesses = 0
 	for _, w := range s.Runs {
 		s.Accesses += uint64(w)
 	}
@@ -302,6 +324,30 @@ func (f freeList[T]) put(v T) {
 	}
 }
 
+// spanPool recycles the spans a replay has released (see "Memory"
+// above). out counts the spans cut and not yet recycled; peak is its
+// high-water mark, observed at recycling, which maxSpansCut bounds
+// while ReplaySpans consumes the pipeline.
+type spanPool struct {
+	free      freeList[*Span]
+	out, peak atomic.Int64
+}
+
+func (sp *spanPool) get() *Span {
+	sp.out.Add(1)
+	if s := sp.free.get(); s != nil {
+		return s
+	}
+	return new(Span)
+}
+
+func (sp *spanPool) put(s *Span) {
+	n := sp.out.Add(-1) + 1
+	for pk := sp.peak.Load(); n > pk && !sp.peak.CompareAndSwap(pk, n); pk = sp.peak.Load() {
+	}
+	sp.free.put(s)
+}
+
 // inFlight is the most chunks the pipeline holds between producer and
 // stitcher: one per worker, one queued and one being read.
 func (p *StreamPipeline) inFlight() int { return p.workers + 2 }
@@ -329,13 +375,16 @@ func newStreamPipeline(blockSize int, opts SpanOptions) (*StreamPipeline, *spanS
 		spanRuns: spanRuns,
 		chunkAcc: chunkAcc,
 		workers:  workers,
+		kinds:    opts.Kinds,
 	}
 	p.text = make(freeList[[]byte], p.inFlight())
 	p.cols = make(freeList[*chunkCompressor], p.inFlight())
+	p.spanP.free = make(freeList[*Span], maxSpansCut)
 	st := &spanStitcher{
 		pend:     BlockStream{BlockSize: blockSize},
 		spanRuns: spanRuns,
 		kinds:    opts.Kinds,
+		spans:    &p.spanP,
 	}
 	if opts.Kinds {
 		st.pend.Kinds = []KindRun{}
@@ -486,14 +535,40 @@ func (p *StreamPipeline) start(ctx context.Context, st *spanStitcher, produce pr
 
 // StreamSpans starts a span pipeline over a generic trace reader at the
 // given block size: decode and run compression proceed chunk-parallel
-// while the caller consumes spans. Cancelling ctx (or Close) stops the
-// pipeline at chunk granularity with every goroutine drained.
+// while the caller consumes spans. As in MaterializeBlockStream, a
+// *DinReader nothing has been read from yet — r itself or reached
+// through Unwrap() Reader methods — has its text parsed chunk-parallel
+// too; the stream and the error for a corrupt input are the same as
+// through the reader. Cancelling ctx (or Close) stops the pipeline at
+// chunk granularity with every goroutine drained.
 func StreamSpans(ctx context.Context, r Reader, blockSize int, opts SpanOptions) (*StreamPipeline, error) {
+	return streamSpans(ctx, r, nil, blockSize, opts)
+}
+
+// streamSpans is StreamSpans with a closer the pipeline closes once it
+// has stopped (nil for none).
+func streamSpans(ctx context.Context, r Reader, closer io.Closer, blockSize int, opts SpanOptions) (*StreamPipeline, error) {
 	p, st, err := newStreamPipeline(blockSize, opts)
 	if err != nil {
 		return nil, err
 	}
-	p.start(ctx, st, p.readerProducer(r, blockSize, p.chunkAcc))
+	p.closer = closer
+	produce := p.readerProducer(r, blockSize, p.chunkAcc)
+	if src := unreadDinInput(r); src != nil {
+		produce = p.dinProducer(src, blockSize, dinChunkBytes)
+		// r then observes the end of its input, as after a
+		// materialization, so a wrapper that releases resources at
+		// io.EOF does so.
+		eof := closeFunc(func() error {
+			_, _ = r.Next()
+			return nil
+		})
+		p.closer = eof
+		if closer != nil {
+			p.closer = multiCloser{eof, closer}
+		}
+	}
+	p.start(ctx, st, produce)
 	return p, nil
 }
 
@@ -542,19 +617,6 @@ func (p *StreamPipeline) readerProducer(r Reader, blockSize int, chunkSize int) 
 			}
 		}
 	}
-}
-
-// StreamDinSpans starts a span pipeline over Dinero .din text, with the
-// text decode itself chunk-parallel: the producer cuts the byte stream
-// at line boundaries and workers parse and run-compress each chunk.
-// Semantics, error line numbers included, match NewDinReader.
-func StreamDinSpans(ctx context.Context, r io.Reader, blockSize int, opts SpanOptions) (*StreamPipeline, error) {
-	p, st, err := newStreamPipeline(blockSize, opts)
-	if err != nil {
-		return nil, err
-	}
-	p.start(ctx, st, p.dinProducer(r, blockSize, dinChunkBytes))
-	return p, nil
 }
 
 // dinProducer emits one parse job per line-aligned chunk of .din text,
@@ -623,9 +685,8 @@ func (p *StreamPipeline) dinProducer(r io.Reader, blockSize int, chunkBytes int)
 
 // fillDin reads from r into buf's spare capacity until it is full or r
 // returns an error. Only a bare io.EOF is the end of input, as for
-// bufio.Scanner: an io.ErrUnexpectedEOF from r itself, such as a cut
-// .gz stream's, is a failure (io.ReadFull would mistake it for a short
-// final read).
+// bufio.Scanner: an io.ErrUnexpectedEOF from r itself is a failure
+// (io.ReadFull would mistake it for a short final read).
 func fillDin(r io.Reader, buf []byte) ([]byte, error) {
 	for len(buf) < cap(buf) {
 		n, err := r.Read(buf[len(buf):cap(buf)])
@@ -657,35 +718,18 @@ func materializeDin(r io.Reader, blockSize int, kinds bool, workers, chunkBytes 
 	return &st.pend, nil
 }
 
-// StreamFileSpans starts a span pipeline over a trace file,
-// transparently decompressing ".gz" and dispatching .din text to the
-// parallel text parser. The pipeline closes the file when it stops.
+// StreamFileSpans starts a span pipeline over a trace file opened as
+// OpenFile opens it — ".gz" decompressed, .din text parsed
+// chunk-parallel. The pipeline closes the file when it stops.
 func StreamFileSpans(ctx context.Context, name string, blockSize int, opts SpanOptions) (*StreamPipeline, error) {
-	f, err := os.Open(name)
+	r, closer, err := OpenFile(name)
 	if err != nil {
 		return nil, err
 	}
-	var src io.Reader = f
-	closer := io.Closer(f)
-	if strings.HasSuffix(name, ".gz") {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("trace: opening %s: %w", name, err)
-		}
-		src = gz
-		closer = multiCloser{gz, f}
-	}
-	p, st, err := newStreamPipeline(blockSize, opts)
+	p, err := streamSpans(ctx, r, closer, blockSize, opts)
 	if err != nil {
 		closer.Close()
 		return nil, err
-	}
-	p.closer = closer
-	if DetectFormat(name) == FormatBin {
-		p.start(ctx, st, p.readerProducer(NewBinReader(bufio.NewReader(src)), blockSize, p.chunkAcc))
-	} else {
-		p.start(ctx, st, p.dinProducer(src, blockSize, dinChunkBytes))
 	}
 	return p, nil
 }

@@ -155,8 +155,9 @@ func TestStreamSpansGeometry(t *testing.T) {
 	}
 }
 
-// TestStreamDinSpans runs the chunk-parallel .din text decode through
-// the span pipeline against the serial materialization.
+// TestStreamDinSpans runs the chunk-parallel .din text decode, which
+// StreamSpans picks for an unread DinReader, against the serial
+// materialization.
 func TestStreamDinSpans(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	tr := pipelineTrace(rng, 40000)
@@ -172,7 +173,7 @@ func TestStreamDinSpans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := StreamDinSpans(context.Background(), bytes.NewReader(text), 16,
+		p, err := StreamSpans(context.Background(), NewDinReader(bytes.NewReader(text)), 16,
 			SpanOptions{MemBytes: 1, Workers: 4, Kinds: kinds})
 		if err != nil {
 			t.Fatal(err)
@@ -180,12 +181,15 @@ func TestStreamDinSpans(t *testing.T) {
 		spans := collectSpans(t, p)
 		checkSpanInvariants(t, spans)
 		sameBlockStream(t, fmt.Sprintf("din kinds=%v", kinds), concatSpans(16, kinds, spans), want)
+		if len(p.text) == 0 {
+			t.Error("an unread DinReader was decoded line by line, not by the chunk-parallel text parser")
+		}
 	}
 
 	// A bad line aborts the pipeline with the exact line number, same as
 	// the serial reader.
 	bad := "2 40\n1 80\nbogus line\n2 c0\n"
-	p, err := StreamDinSpans(context.Background(), strings.NewReader(bad), 4, SpanOptions{Workers: 2})
+	p, err := StreamSpans(context.Background(), NewDinReader(strings.NewReader(bad)), 4, SpanOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,8 +149,8 @@ func TestSpanPipelineDinFlip(t *testing.T) {
 	}
 	cfg := faultreader.Passthrough()
 	cfg.FlipAt, cfg.FlipMask = int64(9000*7+2), 0x40 // '1' -> 'q' on line 9001
-	p, err := trace.StreamDinSpans(context.Background(),
-		faultreader.New(strings.NewReader(sb.String()), cfg), 16, trace.SpanOptions{MemBytes: 1, Workers: 3})
+	p, err := trace.StreamSpans(context.Background(),
+		trace.NewDinReader(faultreader.New(strings.NewReader(sb.String()), cfg)), 16, trace.SpanOptions{MemBytes: 1, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,11 @@ import (
 // the carries plus one folded span per stage.
 //
 // Usage: Feed every finest-rung span in order, then Flush exactly once.
-// The spans passed to visit are scratch buffers owned by the folder,
-// valid only until the next Feed/Flush call — consume them before
-// returning (the simulators' SimulateStream copies nothing and reads
-// synchronously, which is the intended consumer).
+// The coarser rungs' spans passed to visit are scratch buffers owned by
+// the folder, valid only until the next Feed/Flush call — consume them
+// before returning, or copy them. ReplaySpans, whose simulators run on
+// goroutines of their own, copies each into a buffer of its rung; the
+// base rung's span is the caller's own and passes through uncopied.
 type LadderFolder struct {
 	base   int
 	kinds  bool

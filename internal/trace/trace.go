@@ -23,13 +23,15 @@
 // injects deterministic I/O faults for testing these paths.
 //
 // The same stages also run without ever materializing the whole
-// stream: StreamSpans (StreamDinSpans, StreamFileSpans), the package's
-// one chunk-parallel decoder, emits the run-compressed stream as a
+// stream: StreamSpans (and StreamFileSpans), the package's one
+// chunk-parallel decoder, emits the run-compressed stream as a
 // bounded, backpressured pipeline of spans whose concatenation is
 // bit-identical to the materialized BlockStream (FuzzSpanEquivalence),
-// with decode overlapped with the consumer, resident decoded spans
-// capped at SpanOptions.MemBytes, and the incremental LadderFolder deriving every coarser ladder rung from the
-// spans as they arrive — the bounded-memory path for traces larger
+// with decode overlapped with the consumer and resident decoded spans
+// capped at SpanOptions.MemBytes. ReplaySpans consumes such a pipeline
+// for a whole block ladder: the incremental LadderFolder derives every
+// coarser rung from the spans as they arrive, and every simulator runs
+// on a goroutine of its own — the bounded-memory path for traces larger
 // than RAM.
 //
 // The DEW paper drives its simulators with SimpleScalar-generated traces
