@@ -1018,7 +1018,7 @@ func BenchmarkReplayStreamed(b *testing.B) {
 					b.Fatal(err)
 				}
 				if _, err := trace.ReplaySpans(context.Background(), pl, []int{spec.BlockSize},
-					[][]trace.StreamSimulator{{eng}}, nil); err != nil {
+					[][]trace.StreamSimulator{{eng}}, 0, nil); err != nil {
 					b.Fatal(err)
 				}
 				peak = pl.ResidentBound()

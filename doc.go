@@ -135,7 +135,8 @@
 // refsim and explore: the incremental trace.LadderFolder folds each
 // arriving span to every rung of a block-size ladder on the fly, so the
 // whole design space still rides one decode, and every engine runs on
-// a goroutine of its own, accumulating its rung's spans through the
+// a goroutine of its own (explore: at most Workers at once),
+// accumulating its rung's spans through the
 // same SimulateStream seam (one call per span, in order, behind a
 // queue of depth one), with results bit-identical to the phased
 // materialize-then-replay path. The base rung's engines share the
@@ -145,7 +146,7 @@
 // -stream-mem BYTES (0 = materialize; mutually exclusive with -shards,
 // whose partitions need the whole stream resident), a cold streamed
 // pass publishes the finest rung to the artifact store without
-// re-buffering (store.StreamPut), and provenance records the mode and
+// re-buffering (store.Spool), and provenance records the mode and
 // the enforced bound end to end (explore.Result.Streamed /
 // StreamPeakBytes, sweep.Cell likewise, the CLI mode lines).
 // BenchmarkReplayStreamed vs BenchmarkReplayMaterialized tracks the

@@ -258,7 +258,10 @@ func DewSim(ctx context.Context, env Env, args []string) error {
 				return err
 			}
 			defer pl.Close()
-			if err := replaySpooled(ctx, pl, cacheStore, cacheKey, blockLadder, writeSim, sims); err != nil {
+			spool, publish := cacheStore.Spool(cacheKey, blockLadder[0], writeSim)
+			_, err = trace.ReplaySpans(ctx, pl, blockLadder, sims, 0, spool)
+			publish(ctx, err)
+			if err != nil {
 				return err
 			}
 			cachedRungs := 0

@@ -164,8 +164,10 @@ func refSimStreamed(ctx context.Context, env Env, tf traceFlags, opts refsim.Opt
 		key = store.Key(srcID, cfg.BlockSize, 0, true)
 	}
 	start := time.Now()
-	if err := replaySpooled(ctx, pl, cacheStore, key, []int{cfg.BlockSize}, true,
-		[][]trace.StreamSimulator{{eng}}); err != nil {
+	spool, publish := cacheStore.Spool(key, cfg.BlockSize, true)
+	_, err = trace.ReplaySpans(ctx, pl, []int{cfg.BlockSize}, [][]trace.StreamSimulator{{eng}}, 0, spool)
+	publish(ctx, err)
+	if err != nil {
 		return err
 	}
 	elapsed := time.Since(start)

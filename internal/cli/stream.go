@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"dew/internal/store"
 	"dew/internal/trace"
 )
 
@@ -61,34 +60,4 @@ func (tf traceFlags) streamSpans(ctx context.Context, blockSize int, opts trace.
 		return nil, err
 	}
 	return trace.StreamSpans(ctx, r, blockSize, opts)
-}
-
-// replaySpooled replays pl through trace.ReplaySpans (see there for
-// blocks and sims). When st lacks the stream entry key, the finest rung
-// is published to it as it flows past, spooled span by span
-// (store.StreamPut); publication is best-effort and never fails the
-// replay.
-func replaySpooled(ctx context.Context, pl *trace.StreamPipeline, st *store.Store, key string,
-	blocks []int, kinds bool, sims [][]trace.StreamSimulator) error {
-	var put *store.StreamPut
-	if st != nil && key != "" && !st.Has(key) {
-		put, _ = st.NewStreamPut(key, blocks[0], kinds)
-	}
-	var tap func(*trace.Span)
-	if put != nil {
-		defer put.Abort() // a no-op after Commit
-		tap = func(s *trace.Span) {
-			if put != nil && put.Add(&s.BlockStream) != nil {
-				put.Abort()
-				put = nil
-			}
-		}
-	}
-	if _, err := trace.ReplaySpans(ctx, pl, blocks, sims, tap); err != nil {
-		return err
-	}
-	if put != nil {
-		put.Commit(ctx)
-	}
-	return nil
 }

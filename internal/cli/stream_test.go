@@ -259,7 +259,7 @@ func TestStreamedReplayMatchesMaterialized(t *testing.T) {
 			{DewSim, append([]string{"-blocks", ladder(), "-engine", "ref", "-minlog", "5", "-maxlog", "5", "-assoc", "2",
 				"-write", pick("wb", "wt"), "-alloc", pick("wa", "nwa"), "-csv"}, src...), []string{"simulated "}},
 			{Explore, append([]string{"-maxlog-sets", "6", "-maxlog-block", fmt.Sprint(rng.Intn(4)), "-maxlog-assoc", "2",
-				"-quiet", "-csv", pick("-kinds", "-quiet")}, src...), nil},
+				"-workers", pick("1", "2", "3"), "-quiet", "-csv", pick("-kinds", "-quiet")}, src...), nil},
 			{RefSim, append([]string{"-sets", "64", "-assoc", "2", "-block", pick("4", "16", "64"),
 				"-policy", pick("FIFO", "LRU", "Random"), "-write", pick("wb", "wt"), "-alloc", pick("wa", "nwa")}, src...),
 				[]string{"replay:"}},

@@ -60,8 +60,9 @@ type Request struct {
 	Space cache.ParamSpace
 	// Source provides the trace.
 	Source Source
-	// Workers bounds concurrent DEW passes (and, when streaming, the
-	// span pipeline's decode workers); 0 means GOMAXPROCS.
+	// Workers bounds concurrent DEW passes, streamed or materialized
+	// (and, when streaming, the span pipeline's decode workers); 0
+	// means GOMAXPROCS.
 	Workers int
 	// Shards, when at least 2, runs every DEW pass in set-sharded
 	// parallel form: the stream of each block size, decoded once and
@@ -95,8 +96,9 @@ type Request struct {
 	// trace length (Result.StreamPeakBytes reports the exact bound).
 	// Results are bit-identical to the materialized path; what moves is
 	// peak memory and scheduling — the passes share one streaming pass,
-	// serial per span, instead of fanning out across Workers (Workers
-	// still sizes the pipeline's decode stage). Incompatible with
+	// each taking every span of its rung in order, at most Workers
+	// passes simulating at once (trace.ReplaySpans; Workers also sizes
+	// the pipeline's decode stage). Incompatible with
 	// Shards ≥ 2 (sharded passes need the whole partition resident).
 	// 0 keeps the materialized path.
 	StreamMem int64

@@ -14,6 +14,20 @@ import (
 // pair covering every set count of the space.
 type passSpec struct{ block, assoc int }
 
+// passSim is a pass's engine in a streamed replay: its failure names
+// the pass, as the materialized schedule's does.
+type passSim struct {
+	engine.Engine
+	ps passSpec
+}
+
+func (s passSim) SimulateStream(bs *trace.BlockStream) error {
+	if err := s.Engine.SimulateStream(bs); err != nil {
+		return fmt.Errorf("explore: pass B=%d A=%d: %w", s.ps.block, s.ps.assoc, err)
+	}
+	return nil
+}
+
 // mergeStats folds one pass's per-configuration results into the shared
 // table. Direct-mapped rows arrive from several passes and must agree
 // exactly.
@@ -36,14 +50,14 @@ func mergeStats(res *Result, includeAssoc1 bool, results []engine.Result) error 
 // (trace.StreamSpans — chunk-parallel, backpressured against the memory
 // budget), the streaming fold ladder derives every coarser rung span by
 // span, and every live pass's engine consumes its rung's spans as they
-// appear, each on a goroutine of its own (trace.ReplaySpans). The
-// engines are sequential state machines whose SimulateStream accumulates
-// across calls, so the merged results are bit-identical to the
-// materialized schedule; only peak memory and overlap change. Warm
+// appear, at most workers passes at once (trace.ReplaySpans). The
+// engines are sequential state machines whose SimulateStream
+// accumulates across calls, so the merged results are bit-identical to
+// the materialized schedule; only peak memory and overlap change. Warm
 // passes are still served from the result tier, the sampled warm pass
 // re-simulates on the same spans, and — with a cache configured and the
 // finest-rung entry absent — the pass publishes that rung to the stream
-// tier as it flows past (store.StreamPut, spooled to disk, never
+// tier as it flows past (store.Spool, spooled to disk, never
 // re-buffered in memory).
 func runStreamed(ctx context.Context, req Request, name string, passes []passSpec,
 	warmBlobs []*store.ResultBlob, passKeys []string, checkIdx, workers int) (*Result, error) {
@@ -67,7 +81,7 @@ func runStreamed(ctx context.Context, req Request, name string, passes []passSpe
 		}
 		engs[i] = e
 		r := rungOf[ps.block]
-		sims[r] = append(sims[r], e)
+		sims[r] = append(sims[r], passSim{e, ps})
 	}
 
 	p, err := trace.StreamSpans(ctx, req.Source(), blocks[0], trace.SpanOptions{
@@ -79,43 +93,36 @@ func runStreamed(ctx context.Context, req Request, name string, passes []passSpe
 	defer p.Close()
 
 	// Stream-tier publish rides the pass: spool each finest-rung span as
-	// it arrives. A publish failure abandons the spool, never the run.
+	// it arrives. The trace-wide kind totals accumulate across spans;
+	// the per-rung stream shape (for StreamCompression and the
+	// result-tier scalars) comes back from the replay. Folding and span
+	// cuts both preserve access counts exactly.
 	cacheKey := ""
-	var put *store.StreamPut
 	if req.Cache != nil && req.SourceID != "" {
 		cacheKey = store.Key(req.SourceID, blocks[0], 0, req.Kinds)
-		if !req.Cache.Has(cacheKey) {
-			if put, err = req.Cache.NewStreamPut(cacheKey, blocks[0], req.Kinds); err != nil {
-				put = nil
-			}
-		}
 	}
-	if put != nil {
-		defer put.Abort() // a no-op after Commit
-	}
-
-	// The trace-wide kind totals accumulate across spans; the per-rung
-	// stream shape (for StreamCompression and the result-tier scalars)
-	// comes back from the replay. Folding and span cuts both preserve
-	// access counts exactly.
+	spool, publish := req.Cache.Spool(cacheKey, blocks[0], req.Kinds)
 	var kt [3]uint64
-	tap := func(s *trace.Span) {
-		if put != nil && put.Add(&s.BlockStream) != nil {
-			put.Abort()
-			put = nil
-		}
-		if req.Kinds {
+	tap := spool
+	if req.Kinds {
+		tap = func(s *trace.Span) {
+			if spool != nil {
+				spool(s)
+			}
 			for k, n := range s.KindTotals() {
 				kt[k] += n
 			}
 		}
 	}
-	totals, err := trace.ReplaySpans(ctx, p, blocks, sims, tap)
+	totals, err := trace.ReplaySpans(ctx, p, blocks, sims, workers, tap)
+	publish(ctx, err)
 	if err != nil {
-		return nil, fmt.Errorf("explore: streamed block-%d replay: %w", blocks[0], err)
-	}
-	if put != nil {
-		put.Commit(ctx)
+		// A pass's failure names the pass (passSim); the pipeline's own
+		// failure, such as a corrupt trace, names the stream.
+		if err == p.Err() {
+			err = fmt.Errorf("explore: streaming block-%d spans: %w", blocks[0], err)
+		}
+		return nil, err
 	}
 	accesses := make(map[int]uint64, len(blocks))
 	runs := make(map[int]uint64, len(blocks))

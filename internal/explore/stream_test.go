@@ -2,13 +2,16 @@ package explore
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"dew/internal/cache"
+	"dew/internal/engine"
 	"dew/internal/store"
+	"dew/internal/trace"
 )
 
 // TestRunStreamedMatchesMaterialized: the bounded span-pipeline schedule
@@ -156,3 +159,87 @@ func TestRunStreamedCachePublish(t *testing.T) {
 
 // space0 returns the request space's finest block size.
 func space0(req Request) int { return req.Space.BlockSizes()[0] }
+
+// probeEngine is the dew engine with its SimulateStream instrumented:
+// probeBusy records how many passes simulate at once, and the pass at
+// probeFail fails its first span with errProbe.
+type probeEngine struct {
+	engine.Engine
+	fail bool
+}
+
+var (
+	probeBusy struct{ now, peak atomic.Int32 }
+	probeFail passSpec
+	errProbe  = errors.New("probe failure")
+)
+
+func init() {
+	engine.Register("probe", "dew, with its streamed replay instrumented (explore tests)",
+		func(spec engine.Spec) (engine.Engine, error) {
+			e, err := engine.New("dew", spec)
+			if err != nil {
+				return nil, err
+			}
+			return &probeEngine{Engine: e, fail: probeFail == passSpec{spec.BlockSize, spec.Assoc}}, nil
+		})
+}
+
+func (p *probeEngine) SimulateStream(bs *trace.BlockStream) error {
+	n := probeBusy.now.Add(1)
+	defer probeBusy.now.Add(-1)
+	for peak := probeBusy.peak.Load(); n > peak && !probeBusy.peak.CompareAndSwap(peak, n); peak = probeBusy.peak.Load() {
+	}
+	if p.fail {
+		return errProbe
+	}
+	return p.Engine.SimulateStream(bs)
+}
+
+// TestRunStreamedHonorsWorkers: a streamed exploration simulates at
+// most Workers passes at once, as the materialized one does, with
+// statistics bit-identical to the materialized run.
+func TestRunStreamedHonorsWorkers(t *testing.T) {
+	probeFail = passSpec{}
+	tr := randomTrace(20000, 5)
+	mat, err := Run(context.Background(), Request{Space: smallSpace(), Source: FromTrace(tr), Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 5} {
+		probeBusy.peak.Store(0)
+		res, err := Run(context.Background(), Request{
+			Space: smallSpace(), Source: FromTrace(tr), Workers: workers,
+			Engine: "probe", StreamMem: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if peak := probeBusy.peak.Load(); peak < 1 || int(peak) > workers {
+			t.Errorf("workers %d: %d passes simulated at once", workers, peak)
+		}
+		if !reflect.DeepEqual(res.Stats, mat.Stats) {
+			t.Errorf("workers %d: streamed stats diverge from materialized", workers)
+		}
+	}
+}
+
+// TestRunStreamedPassFault: a pass failing mid-stream fails the
+// exploration with the error the materialized schedule reports, naming
+// the pass.
+func TestRunStreamedPassFault(t *testing.T) {
+	probeFail = passSpec{block: 4, assoc: 2}
+	defer func() { probeFail = passSpec{} }()
+	tr := randomTrace(20000, 5)
+	req := Request{Space: smallSpace(), Source: FromTrace(tr), Workers: 2, Engine: "probe"}
+	_, matErr := Run(context.Background(), req)
+	req.StreamMem = 1
+	_, err := Run(context.Background(), req)
+	want := "explore: pass B=4 A=2: probe failure"
+	if matErr == nil || matErr.Error() != want {
+		t.Fatalf("materialized run failed with %v, want %q", matErr, want)
+	}
+	if !errors.Is(err, errProbe) || err.Error() != want {
+		t.Fatalf("streamed run failed with %v, want %q", err, want)
+	}
+}

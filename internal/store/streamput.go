@@ -48,6 +48,42 @@ func (s *Store) NewStreamPut(key string, blockSize int, kinds bool) (*StreamPut,
 	return &StreamPut{s: s, key: key, w: w}, nil
 }
 
+// Spool starts a best-effort publish of the stream entry key alongside
+// a streamed replay (trace.ReplaySpans): tap spools each finest-rung
+// span it is handed, and finish commits the entry after a replay that
+// ended with err == nil and abandons it otherwise. A publish never
+// fails the replay — a spool that cannot start or write is dropped and
+// the replay goes on. When s is nil, key is empty or the entry already
+// exists, nothing is spooled: tap is nil and finish does nothing.
+// finish is a no-op after its first call.
+func (s *Store) Spool(key string, blockSize int, kinds bool) (tap func(*trace.Span), finish func(ctx context.Context, err error)) {
+	var put *StreamPut
+	if s != nil && key != "" && !s.Has(key) {
+		put, _ = s.NewStreamPut(key, blockSize, kinds)
+	}
+	if put == nil {
+		return nil, func(context.Context, error) {}
+	}
+	tap = func(sp *trace.Span) {
+		if put != nil && put.Add(&sp.BlockStream) != nil {
+			put.Abort()
+			put = nil
+		}
+	}
+	finish = func(ctx context.Context, err error) {
+		if put == nil {
+			return
+		}
+		if err == nil {
+			put.Commit(ctx)
+		} else {
+			put.Abort()
+		}
+		put = nil
+	}
+	return tap, finish
+}
+
 // Add spools one span (in stream order).
 func (p *StreamPut) Add(span *trace.BlockStream) error {
 	if p.done {

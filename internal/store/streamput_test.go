@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"testing"
 
@@ -134,6 +135,56 @@ func TestStreamPutAbortAndMisuse(t *testing.T) {
 	}
 	if s.Has("not-a-key") {
 		t.Error("invalid key reported present")
+	}
+}
+
+// TestSpool: the replay's spool publishes the spans it was handed only
+// after a replay that succeeded, leaves nothing behind after one that
+// failed, and spools nothing without a store or when the entry exists.
+func TestSpool(t *testing.T) {
+	ctx := context.Background()
+	span := &trace.Span{BlockStream: trace.BlockStream{BlockSize: 8, IDs: []uint64{1, 3}, Runs: []uint32{2, 1}, Accesses: 3}}
+	if tap, finish := (*Store)(nil).Spool(Key("trace:spool", 8, 0, false), 8, false); tap != nil {
+		t.Error("a nil store spools")
+	} else {
+		finish(ctx, nil)
+	}
+	s, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tap, _ := s.Spool("", 8, false); tap != nil {
+		t.Error("an empty key spools")
+	}
+	failed := Key("trace:failed", 8, 0, false)
+	tap, finish := s.Spool(failed, 8, false)
+	tap(span)
+	finish(ctx, errors.New("replay failed"))
+	finish(ctx, nil) // a no-op after the first call
+	if s.Has(failed) {
+		t.Error("a failed replay published its spool")
+	}
+	ds, err := s.DiskStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Temp != 0 || ds.Entries != 0 {
+		t.Fatalf("disk after a failed replay: %+v", ds)
+	}
+	key := Key("trace:spool", 8, 0, false)
+	tap, finish = s.Spool(key, 8, false)
+	tap(span)
+	tap(span)
+	finish(ctx, nil)
+	got, err := s.Get(ctx, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Accesses != 6 || len(got.IDs) != 4 {
+		t.Fatalf("published %d accesses in %d runs, want 6 in 4", got.Accesses, len(got.IDs))
+	}
+	if tap, _ := s.Spool(key, 8, false); tap != nil {
+		t.Error("an existing entry is spooled again")
 	}
 }
 

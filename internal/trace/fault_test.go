@@ -262,8 +262,9 @@ func gzipBytes(t *testing.T, b []byte) []byte {
 }
 
 // TestDinGzipTruncation cuts a .din.gz short: the gzip reader reports
-// io.ErrUnexpectedEOF, and every decode must return it rather than the
-// decoded prefix.
+// io.ErrUnexpectedEOF, and every decode, OpenFile's and the streamed
+// one's included, must return it rather than the decoded prefix —
+// through OpenFile and StreamFileSpans as a *trace.TruncatedError.
 func TestDinGzipTruncation(t *testing.T) {
 	z := gzipBytes(t, []byte(strings.Repeat("0 1000\n1 2000\n", 20000)))
 	cut := z[:len(z)*3/4]
@@ -277,14 +278,39 @@ func TestDinGzipTruncation(t *testing.T) {
 			t.Errorf("%s: cut .din.gz decoded to (%v, %v), want io.ErrUnexpectedEOF", name, bs != nil, err)
 		}
 	}
+	path := filepath.Join(t.TempDir(), "cut.din.gz")
+	if err := os.WriteFile(path, cut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var te *trace.TruncatedError
+	r, c, err := trace.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if bs, err := trace.MaterializeBlockStream(r, 16); !errors.Is(err, io.ErrUnexpectedEOF) || !errors.As(err, &te) || bs != nil {
+		t.Errorf("OpenFile of a cut .din.gz decoded to (%v, %v), want a *trace.TruncatedError matching io.ErrUnexpectedEOF", bs != nil, err)
+	}
+	p, err := trace.StreamFileSpans(context.Background(), path, 16, trace.SpanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range p.Spans() {
+	}
+	if err := p.Err(); !errors.Is(err, io.ErrUnexpectedEOF) || !errors.As(err, &te) {
+		t.Errorf("streamed cut .din.gz: %v, want a *trace.TruncatedError matching io.ErrUnexpectedEOF", err)
+	}
 }
 
 // TestGzipFileTruncation cuts .din.gz and .dtb.gz files short, inside
-// the compressed data, in the gzip trailer and inside the gzip header:
-// OpenFile's reader and StreamFileSpans report a *TruncatedError, which
-// still matches io.ErrUnexpectedEOF, instead of the decoded prefix. A
-// .din cut mid-line may report that partial line's *CorruptError
-// instead, as the serial decode does; both are input errors.
+// the compressed data, in the gzip trailer and inside the gzip header.
+// The reference is the serial decode of the same file (OpenFile's
+// reader behind another type): it must fail with a *TruncatedError
+// matching io.ErrUnexpectedEOF, except that a .din cut inside the data
+// may end on a partial line, whose *CorruptError the per-line decode
+// meets first. OpenFile's chunk-parallel materialization and
+// StreamFileSpans must fail with the reference's error text, and never
+// return the decoded prefix.
 func TestGzipFileTruncation(t *testing.T) {
 	dtb, _ := binPayload(t, 60000)
 	dir := t.TempDir()
@@ -293,41 +319,57 @@ func TestGzipFileTruncation(t *testing.T) {
 		"t.dtb.gz": dtb,
 	} {
 		z := gzipBytes(t, raw)
-		for _, n := range []int{len(z) * 3 / 4, len(z) - 4, 5} {
-			label := fmt.Sprintf("%s cut to %d of %d bytes", name, n, len(z))
+		for _, cut := range []struct {
+			n     int
+			where string
+		}{{len(z) / 2, "data"}, {len(z) * 3 / 4, "data"}, {len(z) - 4, "trailer"}, {5, "header"}} {
+			label := fmt.Sprintf("%s cut to %d of %d bytes (%s)", name, cut.n, len(z), cut.where)
 			path := filepath.Join(dir, name)
-			if err := os.WriteFile(path, z[:n], 0o644); err != nil {
+			if err := os.WriteFile(path, z[:cut.n], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			checkTruncated := func(how string, err error) {
-				t.Helper()
-				var te *trace.TruncatedError
-				var ce *trace.CorruptError
-				if strings.HasSuffix(name, ".din.gz") && errors.As(err, &ce) {
-					return
-				}
-				if !errors.As(err, &te) || !errors.Is(err, io.ErrUnexpectedEOF) {
-					t.Errorf("%s, %s: %v, want a *trace.TruncatedError matching io.ErrUnexpectedEOF", label, how, err)
-				}
-			}
+			// The serial reference decode.
+			var ref error
 			r, c, err := trace.OpenFile(path)
 			if err != nil {
-				checkTruncated("open", err)
-				continue
+				ref = err
+			} else {
+				bs, err := trace.MaterializeBlockStream(struct{ trace.Reader }{r}, 16)
+				c.Close()
+				if bs != nil || err == nil {
+					t.Fatalf("%s: the serial decode returned the decoded prefix (%v)", label, err)
+				}
+				ref = err
 			}
-			bs, err := trace.MaterializeBlockStream(r, 16)
-			c.Close()
-			if bs != nil {
-				t.Errorf("%s: materialized the decoded prefix", label)
+			var te *trace.TruncatedError
+			var ce *trace.CorruptError
+			partialLine := strings.HasSuffix(name, ".din.gz") && cut.where == "data" && errors.As(ref, &ce)
+			if !partialLine && (!errors.As(ref, &te) || !errors.Is(ref, io.ErrUnexpectedEOF)) {
+				t.Errorf("%s, serial: %v, want a *trace.TruncatedError matching io.ErrUnexpectedEOF", label, ref)
 			}
-			checkTruncated("materialized", err)
+			same := func(how string, err error) {
+				t.Helper()
+				if err == nil || err.Error() != ref.Error() {
+					t.Errorf("%s, %s: %v, want the serial decode's %q", label, how, err, ref)
+				}
+			}
+			if r, c, err := trace.OpenFile(path); err != nil {
+				same("open", err)
+			} else {
+				bs, err := trace.MaterializeBlockStream(r, 16)
+				c.Close()
+				if bs != nil {
+					t.Errorf("%s: materialized the decoded prefix", label)
+				}
+				same("materialized", err)
+			}
 			p, err := trace.StreamFileSpans(context.Background(), path, 16, trace.SpanOptions{})
-			if err != nil {
-				t.Fatal(err)
+			if err == nil {
+				for range p.Spans() {
+				}
+				err = p.Err()
 			}
-			for range p.Spans() {
-			}
-			checkTruncated("streamed", p.Err())
+			same("streamed", err)
 		}
 	}
 }

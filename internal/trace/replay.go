@@ -3,6 +3,7 @@ package trace
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -35,24 +36,29 @@ const replayBufs = 2
 // Each simulator must appear once. tap, when non-nil, sees every
 // finest-rung span before it is folded and must not keep it.
 //
-// Every simulator runs on a goroutine of its own and receives its
-// rung's spans in stream order through a queue of depth one, so its
-// results are bit-identical to one serial pass over the stream. The
-// fold (LadderFolder), the tap and the pipeline's spans stay on the
-// calling goroutine. Base-rung simulators share the pipeline's spans
-// without a copy, and each span goes back to the pipeline once the
-// fold and every one of them have released it; each coarser rung's
-// folded span is copied into one of replayBufs buffers of that rung.
-// In steady state the replay allocates nothing per span.
+// The simulators run on lanes, goroutines of their own: one lane per
+// simulator, or, when workers is positive and smaller, workers lanes
+// with the simulators dealt round-robin onto them in rung then index
+// order, so at most workers simulators run at once. A lane takes its
+// rungs' spans in stream order through a queue of depth one and runs
+// its simulators of a span's rung one after another, so every
+// simulator's results are bit-identical to one serial pass over its
+// rung's stream. The fold (LadderFolder), the tap and the pipeline's
+// spans stay on the calling goroutine. Base-rung simulators share the
+// pipeline's spans without a copy, and each span goes back to the
+// pipeline once the fold and every lane fed it have released it; each
+// coarser rung's folded span is copied into one of replayBufs buffers
+// of that rung. In steady state the replay allocates nothing per span.
 //
 // ReplaySpans consumes p to the end and stops it. On failure it returns
 // the error the serial replay would meet first: the pipeline's error
 // after every span it delivered, ctx's error once cancelled, or a
-// simulator's error — from the earliest finest-rung span, then the
-// lowest rung, then the lowest simulator index. A panic in a simulator
-// is contained as a *pool.PanicError. Every goroutine it started has
-// exited when it returns.
-func ReplaySpans(ctx context.Context, p *StreamPipeline, blocks []int, sims [][]StreamSimulator, tap func(*Span)) ([]RungTotals, error) {
+// simulator's error, as the simulator returned it — from the earliest
+// finest-rung span, then the lowest rung, then the lowest simulator
+// index. A panic in a simulator is contained as a *pool.PanicError.
+// Every goroutine it started has exited when it returns.
+func ReplaySpans(ctx context.Context, p *StreamPipeline, blocks []int, sims [][]StreamSimulator,
+	workers int, tap func(*Span)) ([]RungTotals, error) {
 	defer p.Close()
 	if len(blocks) == 0 || len(sims) != len(blocks) {
 		return nil, fmt.Errorf("trace: replay of %d rungs given simulators for %d", len(blocks), len(sims))
@@ -83,7 +89,7 @@ func ReplaySpans(ctx context.Context, p *StreamPipeline, blocks []int, sims [][]
 		if r > 0 && len(sims[r]) > 0 {
 			rp.free[r] = make(freeList[*heldStream], replayBufs)
 			for range replayBufs {
-				h := &heldStream{home: rp.free[r]}
+				h := &heldStream{rung: r, home: rp.free[r]}
 				h.bs = &h.own
 				rp.free[r] <- h
 			}
@@ -91,29 +97,45 @@ func ReplaySpans(ctx context.Context, p *StreamPipeline, blocks []int, sims [][]
 		}
 	}
 	p.resident += int64(held) * int64(p.spanRuns) * bytesPerSpanRun(p.kinds)
+
+	n := 0
+	for _, rs := range sims {
+		n += len(rs)
+	}
+	if workers <= 0 || workers > n {
+		workers = n
+	}
+	lanes := make([]*replayLane, workers)
+	for j := range lanes {
+		lanes[j] = &replayLane{sims: make([][]laneSim, len(blocks)), in: make(chan *heldStream, 1)}
+	}
+	i := 0
 	for r, rs := range sims {
-		for _, sim := range rs {
-			l := &replayLane{sim: sim, in: make(chan *heldStream, 1)}
-			rp.lanes[r] = append(rp.lanes[r], l)
-			rp.wg.Add(1)
-			go l.run(rp)
+		for idx, sim := range rs {
+			l := lanes[i%workers]
+			if len(l.sims[r]) == 0 {
+				rp.lanes[r] = append(rp.lanes[r], l)
+			}
+			l.sims[r] = append(l.sims[r], laneSim{sim, idx})
+			i++
 		}
 	}
+	for _, l := range lanes {
+		rp.wg.Add(1)
+		go l.run(rp)
+	}
 
-	err = rp.consume(ctx, p, folder, tap)
+	err = rp.consume(ctx, p, folder, tap, lanes)
 	// Every lane has stopped. A lane's error wins over the consumer's:
 	// the lane failed on a span the consumer had already handed out.
 	var first *replayLane
-	var firstBlock, firstIdx int
-	for r, ls := range rp.lanes {
-		for j, l := range ls {
-			if l.err != nil && (first == nil || l.errAt < first.errAt) {
-				first, firstBlock, firstIdx = l, blocks[r], j
-			}
+	for _, l := range lanes {
+		if l.err != nil && (first == nil || slices.Compare(l.errAt[:], first.errAt[:]) < 0) {
+			first = l
 		}
 	}
 	if first != nil {
-		return nil, fmt.Errorf("trace: replaying block-%d simulator %d: %w", firstBlock, firstIdx, first.err)
+		return nil, first.err
 	}
 	if err != nil {
 		return nil, err
@@ -126,7 +148,7 @@ func ReplaySpans(ctx context.Context, p *StreamPipeline, blocks []int, sims [][]
 type replayer struct {
 	spans  *spanPool
 	rungOf map[int]int
-	lanes  [][]*replayLane
+	lanes  [][]*replayLane         // per rung: the lanes fed its spans
 	free   []freeList[*heldStream] // per rung: its folded-span buffers
 	totals []RungTotals
 	finest freeList[*heldStream] // holders of the pipeline's spans
@@ -139,12 +161,10 @@ type replayer struct {
 // consume feeds every span through the fold and the lanes, then closes
 // the lanes and waits for them. It returns early, with nil, once a lane
 // has failed.
-func (rp *replayer) consume(ctx context.Context, p *StreamPipeline, folder *LadderFolder, tap func(*Span)) error {
+func (rp *replayer) consume(ctx context.Context, p *StreamPipeline, folder *LadderFolder, tap func(*Span), lanes []*replayLane) error {
 	defer func() {
-		for _, ls := range rp.lanes {
-			for _, l := range ls {
-				close(l.in)
-			}
+		for _, l := range lanes {
+			close(l.in)
 		}
 		rp.wg.Wait()
 	}()
@@ -215,6 +235,7 @@ func (rp *replayer) visit(b int, s *BlockStream) error {
 // span to the pipeline.
 type heldStream struct {
 	bs   *BlockStream
+	rung int
 	at   int // index of the finest span it derives from
 	refs atomic.Int32
 	span *Span       // the pipeline's span, for the finest rung
@@ -233,22 +254,32 @@ func (h *heldStream) release(sp *spanPool) {
 	h.home.put(h)
 }
 
-// replayLane is one simulator's goroutine: it simulates the streams
-// queued on in, in order, and releases each. After a failure it keeps
-// releasing what arrives, unsimulated, until in closes.
+// replayLane is one goroutine of the replay: it simulates the streams
+// queued on in, in order, on its simulators of each stream's rung, and
+// releases each. After a failure it keeps releasing what arrives,
+// unsimulated, until in closes.
 type replayLane struct {
-	sim   StreamSimulator
+	sims  [][]laneSim // per rung, ascending index
 	in    chan *heldStream
 	err   error
-	errAt int // index of the finest span the failed stream derives from
+	errAt [3]int // the failure's finest span index, rung and simulator index
+}
+
+// laneSim is a simulator and its index within its rung.
+type laneSim struct {
+	sim StreamSimulator
+	idx int
 }
 
 func (l *replayLane) run(rp *replayer) {
 	defer rp.wg.Done()
 	for h := range l.in {
-		if l.err == nil {
-			if err := pool.Protect(func() error { return l.sim.SimulateStream(h.bs) }); err != nil {
-				l.err, l.errAt = err, h.at
+		for _, s := range l.sims[h.rung] {
+			if l.err != nil {
+				break
+			}
+			if err := pool.Protect(func() error { return s.sim.SimulateStream(h.bs) }); err != nil {
+				l.err, l.errAt = err, [3]int{h.at, h.rung, s.idx}
 				rp.failed.Store(true)
 			}
 		}

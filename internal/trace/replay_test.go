@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,13 +19,28 @@ import (
 // every run it is fed, in order, into a running hash, so it ends in the
 // state of one pass over a rung's materialized stream only if it saw
 // exactly that stream. work repeats the mixing so the replay's queues
-// fill up behind it.
+// fill up behind it. busy, when set, is shared by every simulator of a
+// replay and records in its peak how many of them ran at once.
 type digestSim struct {
 	sum  uint64
 	work int
+	busy *concurrency
+}
+
+// concurrency counts the simulators running and their high-water mark.
+type concurrency struct{ now, peak atomic.Int32 }
+
+func (c *concurrency) enter() {
+	n := c.now.Add(1)
+	for p := c.peak.Load(); n > p && !c.peak.CompareAndSwap(p, n); p = c.peak.Load() {
+	}
 }
 
 func (d *digestSim) SimulateStream(bs *trace.BlockStream) error {
+	if d.busy != nil {
+		d.busy.enter()
+		defer d.busy.now.Add(-1)
+	}
 	for i, id := range bs.IDs {
 		x := id<<32 ^ uint64(bs.Runs[i])
 		if bs.Kinds != nil {
@@ -42,24 +57,26 @@ func (d *digestSim) SimulateStream(bs *trace.BlockStream) error {
 // replayCase is one replay of a seeded workload trace: everything that
 // decides the outcome, printed on failure so the case can be rerun.
 type replayCase struct {
-	app    workload.App
-	seed   uint64
-	n      int
-	blocks []int
-	kinds  bool
-	budget int64
-	lanes  []int // simulators per rung
-	work   int
+	app     workload.App
+	seed    uint64
+	n       int
+	blocks  []int
+	kinds   bool
+	budget  int64
+	sims    []int // simulators per rung
+	workers int   // ReplaySpans' bound on simulators running at once
+	work    int
 }
 
 func (c replayCase) String() string {
-	return fmt.Sprintf("app=%q seed=%d n=%d blocks=%v kinds=%v budget=%d lanes=%v",
-		c.app.Name, c.seed, c.n, c.blocks, c.kinds, c.budget, c.lanes)
+	return fmt.Sprintf("app=%q seed=%d n=%d blocks=%v kinds=%v budget=%d sims=%v workers=%d",
+		c.app.Name, c.seed, c.n, c.blocks, c.kinds, c.budget, c.sims, c.workers)
 }
 
 // check replays c through ReplaySpans and holds every simulator's
-// stream and every rung's totals to the materialized FoldLadder, and
-// the span recycling to its bound: no more spans out of the pipeline at
+// stream and every rung's totals to the materialized FoldLadder, the
+// simulators running at once to c.workers when it is positive, and the
+// span recycling to its bound: no more spans out of the pipeline at
 // once than the geometry assumes, none left unrecycled, and no more
 // span allocations than that bound. It returns the spans emitted.
 func (c replayCase) check(t *testing.T) uint64 {
@@ -86,17 +103,22 @@ func (c replayCase) check(t *testing.T) uint64 {
 	}
 	sims := make([][]trace.StreamSimulator, len(c.blocks))
 	digests := make([][]*digestSim, len(c.blocks))
-	for r, n := range c.lanes {
+	busy := &concurrency{}
+	for r, n := range c.sims {
 		for range n {
-			d := &digestSim{work: c.work}
+			d := &digestSim{work: c.work, busy: busy}
 			digests[r] = append(digests[r], d)
 			sims[r] = append(sims[r], d)
 		}
 	}
 	seen := map[*trace.Span]bool{}
-	totals, err := trace.ReplaySpans(context.Background(), p, c.blocks, sims, func(s *trace.Span) { seen[s] = true })
+	totals, err := trace.ReplaySpans(context.Background(), p, c.blocks, sims, c.workers,
+		func(s *trace.Span) { seen[s] = true })
 	if err != nil {
 		t.Fatalf("%v: %v", c, err)
+	}
+	if peak := busy.peak.Load(); c.workers > 0 && int(peak) > c.workers {
+		t.Errorf("%v: %d simulators ran at once", c, peak)
 	}
 	for r, b := range c.blocks {
 		want := ladder[b]
@@ -126,9 +148,10 @@ func (c replayCase) check(t *testing.T) uint64 {
 
 // TestReplaySpansMatchesSerial is the replay's differential test:
 // random seeded workload traces, ladders of 1-4 rungs, kinds on and
-// off, 0-2 simulators per rung, budgets small enough for at least 50
-// spans. Every simulator must see exactly its rung's materialized
-// stream. The seed is logged, and every failure names its case.
+// off, 0-2 simulators per rung, a bound of 0-3 simulators at once,
+// budgets small enough for at least 50 spans. Every simulator must see
+// exactly its rung's materialized stream. The seed is logged, and
+// every failure names its case.
 func TestReplaySpansMatchesSerial(t *testing.T) {
 	defer leakcheck.Check(t)()
 	seed := time.Now().UnixNano()
@@ -137,21 +160,22 @@ func TestReplaySpansMatchesSerial(t *testing.T) {
 	apps := workload.Apps()
 	for i := 0; i < 8; i++ {
 		c := replayCase{
-			app:    apps[rng.Intn(len(apps))],
-			seed:   rng.Uint64(),
-			n:      60000 + rng.Intn(40000),
-			kinds:  rng.Intn(2) == 1,
-			budget: int64(16+rng.Intn(48)) << 10,
+			app:     apps[rng.Intn(len(apps))],
+			seed:    rng.Uint64(),
+			n:       60000 + rng.Intn(40000),
+			kinds:   rng.Intn(2) == 1,
+			budget:  int64(16+rng.Intn(48)) << 10,
+			workers: rng.Intn(4),
 		}
 		b := 1 << rng.Intn(3)
 		for rungs := 1 + rng.Intn(4); len(c.blocks) < rungs; b <<= 1 + rng.Intn(2) {
 			c.blocks = append(c.blocks, b)
 		}
-		c.lanes = make([]int, len(c.blocks))
-		for r := range c.lanes {
-			c.lanes[r] = rng.Intn(3)
+		c.sims = make([]int, len(c.blocks))
+		for r := range c.sims {
+			c.sims[r] = rng.Intn(3)
 		}
-		c.lanes[rng.Intn(len(c.lanes))]++
+		c.sims[rng.Intn(len(c.sims))]++
 		if spans := c.check(t); spans < 50 {
 			t.Errorf("seed %d, %v: only %d spans", seed, c, spans)
 		}
@@ -161,7 +185,7 @@ func TestReplaySpansMatchesSerial(t *testing.T) {
 // TestReplaySpansBudget holds the span recycling to the geometry's
 // bound across budgets from 64 KiB to 8 MiB, 1-3 rungs and kinds on
 // and off, with slow simulators, two per rung, so the replay's queues
-// stay full.
+// stay full — each on a lane of its own, and all on one lane.
 func TestReplaySpansBudget(t *testing.T) {
 	defer leakcheck.Check(t)()
 	app, err := workload.Lookup("G721 Dec")
@@ -175,13 +199,16 @@ func TestReplaySpansBudget(t *testing.T) {
 		}
 		for _, blocks := range [][]int{{4}, {4, 16}, {4, 16, 64}} {
 			for _, kinds := range []bool{false, true} {
-				c := replayCase{app: app, seed: 1, n: n, blocks: blocks, kinds: kinds, budget: budget, work: 3}
-				c.lanes = make([]int, len(blocks))
-				for r := range c.lanes {
-					c.lanes[r] = 2
-				}
-				if spans := c.check(t); spans <= trace.MaxSpansCut {
-					t.Errorf("%v: %d spans cannot fill the replay", c, spans)
+				for _, workers := range []int{0, 1} {
+					c := replayCase{app: app, seed: 1, n: n, blocks: blocks, kinds: kinds, budget: budget,
+						workers: workers, work: 3}
+					c.sims = make([]int, len(blocks))
+					for r := range c.sims {
+						c.sims[r] = 2
+					}
+					if spans := c.check(t); spans <= trace.MaxSpansCut {
+						t.Errorf("%v: %d spans cannot fill the replay", c, spans)
+					}
 				}
 			}
 		}
@@ -214,8 +241,8 @@ func (f *faultSim) SimulateStream(*trace.BlockStream) error {
 }
 
 // replayFaults replays a fixed trace through the ladder 4,16,64 with
-// the given simulators.
-func replayFaults(ctx context.Context, t *testing.T, sims [][]trace.StreamSimulator) error {
+// the given simulators, at most workers at once.
+func replayFaults(ctx context.Context, t *testing.T, workers int, sims [][]trace.StreamSimulator) error {
 	t.Helper()
 	app, err := workload.Lookup("CJPEG")
 	if err != nil {
@@ -226,37 +253,39 @@ func replayFaults(ctx context.Context, t *testing.T, sims [][]trace.StreamSimula
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = trace.ReplaySpans(ctx, p, []int{4, 16, 64}, sims, nil)
+	_, err = trace.ReplaySpans(ctx, p, []int{4, 16, 64}, sims, workers, nil)
 	return err
 }
 
 // TestReplaySpansFault: a simulator error ends the replay with that
-// error, chosen as the serial replay would meet it — the earliest span,
-// then the lowest rung, then the lowest simulator index — whichever
-// lane reports first. No goroutine outlives the replay.
+// error, as the simulator returned it, chosen as the serial replay
+// would meet it — the earliest span, then the lowest rung, then the
+// lowest simulator index — whichever lane reports first, and however
+// the simulators share lanes. No goroutine outlives the replay.
 func TestReplaySpansFault(t *testing.T) {
 	defer leakcheck.Check(t)()
 	for i := 0; i < 20; i++ {
+		workers := i % 4
 		// Three simulators fail on their first span: rung 16's
 		// second wins.
-		err := replayFaults(context.Background(), t, [][]trace.StreamSimulator{
+		err := replayFaults(context.Background(), t, workers, [][]trace.StreamSimulator{
 			{&faultSim{name: "a"}},
 			{&faultSim{name: "b"}, &faultSim{name: "c", failOn: 1}, &faultSim{name: "d", failOn: 1}},
 			{&faultSim{name: "e", failOn: 1}},
 		})
 		var sf *simFault
-		if !errors.As(err, &sf) || sf.name != "c" || !strings.Contains(err.Error(), "block-16 simulator 1") {
-			t.Fatalf("run %d: replay failed with %v, want simulator c's fault at block-16 simulator 1", i, err)
+		if !errors.As(err, &sf) || sf.name != "c" || err.Error() != sf.Error() {
+			t.Fatalf("run %d, workers %d: replay failed with %v, want simulator c's fault as it returned it", i, workers, err)
 		}
 		// The base rung fails on a later span than rung 64: rung 64's
 		// fault is the one the serial replay meets first.
-		err = replayFaults(context.Background(), t, [][]trace.StreamSimulator{
+		err = replayFaults(context.Background(), t, workers, [][]trace.StreamSimulator{
 			{&faultSim{name: "late", failOn: 6}},
 			nil,
 			{&faultSim{name: "early", failOn: 1}},
 		})
 		if !errors.As(err, &sf) || sf.name != "early" {
-			t.Fatalf("run %d: replay failed with %v, want simulator early's fault", i, err)
+			t.Fatalf("run %d, workers %d: replay failed with %v, want simulator early's fault", i, workers, err)
 		}
 	}
 }
@@ -265,7 +294,7 @@ func TestReplaySpansFault(t *testing.T) {
 // *pool.PanicError.
 func TestReplaySpansPanic(t *testing.T) {
 	defer leakcheck.Check(t)()
-	err := replayFaults(context.Background(), t, [][]trace.StreamSimulator{
+	err := replayFaults(context.Background(), t, 0, [][]trace.StreamSimulator{
 		{&digestSim{}}, {&faultSim{name: "p", failOn: 3, panics: true}}, nil,
 	})
 	var pe *pool.PanicError
@@ -308,7 +337,7 @@ func TestReplaySpansCancel(t *testing.T) {
 			t.Fatal(err)
 		}
 		sims := [][]trace.StreamSimulator{{&digestSim{}}, {&cancelSim{cancel: cancel}, &digestSim{}}}
-		_, err = trace.ReplaySpans(ctx, p, []int{4, 32}, sims, nil)
+		_, err = trace.ReplaySpans(ctx, p, []int{4, 32}, sims, 0, nil)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("shared=%v: cancelled replay returned %v, want context.Canceled", shared, err)
@@ -328,7 +357,7 @@ func TestReplaySpansRejectsBadArgs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := trace.ReplaySpans(context.Background(), p, c.blocks, make([][]trace.StreamSimulator, c.sims), nil); err == nil {
+		if _, err := trace.ReplaySpans(context.Background(), p, c.blocks, make([][]trace.StreamSimulator, c.sims), 0, nil); err == nil {
 			t.Errorf("blocks %v with %d simulator lists: want an error", c.blocks, c.sims)
 		}
 	}

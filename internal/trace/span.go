@@ -86,11 +86,12 @@ const spanChanCap = 2
 
 // maxSpansCut is the most spans cut from the pending tail and not yet
 // recycled: spanChanCap in the channel, one in flight to it, and three
-// at ReplaySpans — the span its consumer is folding and, at the
-// base-rung simulators, one queued and one being simulated. A
-// simulator takes span k+1 off its queue only after finishing span k,
-// and the consumer hands a span to every simulator before it takes the
-// next, so all base-rung simulators together hold two distinct spans.
+// at ReplaySpans — the span its consumer is folding and, at the lanes
+// of the base-rung simulators, one queued and one being simulated. A
+// lane takes its next stream off its queue only after finishing the
+// previous one, and the consumer hands a span to every lane before it
+// takes the next, so all base-rung lanes together hold two distinct
+// spans.
 const maxSpansCut = spanChanCap + 4
 
 // SpanOptions configures a span pipeline.

@@ -30,9 +30,9 @@
 // with decode overlapped with the consumer and resident decoded spans
 // capped at SpanOptions.MemBytes. ReplaySpans consumes such a pipeline
 // for a whole block ladder: the incremental LadderFolder derives every
-// coarser rung from the spans as they arrive, and every simulator runs
-// on a goroutine of its own — the bounded-memory path for traces larger
-// than RAM.
+// coarser rung from the spans as they arrive, and the simulators run on
+// goroutines of their own, as many as the caller allows — the
+// bounded-memory path for traces larger than RAM.
 //
 // The DEW paper drives its simulators with SimpleScalar-generated traces
 // of byte-addressable memory requests (Table 2). This package plays that
