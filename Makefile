@@ -32,6 +32,7 @@ fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzShardBlockStream -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzFoldBlockStream -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzSpanEquivalence -fuzztime 30s
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDinLine -fuzztime 30s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDinMaterialize -fuzztime 30s
 	$(GO) test ./internal/refsim -run '^$$' -fuzz FuzzKindStreamWrite -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDinCorrupt -fuzztime 20s

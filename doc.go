@@ -93,7 +93,13 @@
 // span pipeline's chunk-parallel parser on GOMAXPROCS workers, with the
 // stitcher collecting the whole stream instead of cutting spans; other
 // readers take one batched serial pass. Both give the same stream, and
-// the same error for a corrupt input. Sharding is a derived view,
+// the same error for a corrupt input. The parser's line kernel scans
+// each line once: a line in the shape DinWriter prints (label 0-2, one
+// space, 1-16 hex digits) is read through a 256-entry hex table, and
+// every other line falls back to DinReader's own line parser, which
+// alone words errors. The collecting stitcher fills fixed-size
+// segments and concatenates them once, at exact size, so the stream
+// is never regrown. Sharding is a derived view,
 // not a second decoder: trace.ShardBlockStream partitions a
 // materialized (or folded, or cache-loaded) stream into its 2^S
 // set-substreams in O(runs), bit-identical — including uint32

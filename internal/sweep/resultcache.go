@@ -3,8 +3,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"reflect"
 	"time"
 
@@ -290,18 +288,6 @@ func warmCellDiverges(cached, live Cell) error {
 			cached.Shards, cached.ShardRuns, cached.RefParallel, live.Shards, live.ShardRuns, live.RefParallel)
 	}
 	return nil
-}
-
-// warmCheckPick selects the warm cell to live-check: an FNV-1a hash
-// over the warm keys, mod their count. Deterministic in the warm set —
-// identical reruns re-verify the same cell — while any change to the
-// set (a delta cell, an eviction, a new trace) rotates the choice.
-func warmCheckPick(keys []string) int {
-	h := fnv.New32a()
-	for _, k := range keys {
-		io.WriteString(h, k)
-	}
-	return int(h.Sum32() % uint32(len(keys)))
 }
 
 // Provenance tallies a batch's delta-scheduling outcome: cells

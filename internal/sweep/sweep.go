@@ -786,7 +786,7 @@ func (r Runner) RunCells(ctx context.Context, params []Params) ([]Cell, error) {
 		if len(warmIdx) > 0 {
 			note := ""
 			if !r.NoWarmCheck {
-				checkIdx := warmIdx[warmCheckPick(warmKeys)]
+				checkIdx := warmIdx[store.WarmCheckPick(warmKeys)]
 				needSim[checkIdx] = true
 				note = " (1 sampled for live re-verification)"
 			}

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 )
 
@@ -119,6 +118,17 @@ func (cc *chunkCompressor) add(id uint64, w uint32) {
 	}
 }
 
+// addOne is add for one access in kind-free mode.
+func (cc *chunkCompressor) addOne(id uint64) {
+	cc.c.accesses++
+	if n := len(cc.c.ids); n > 0 && cc.c.ids[n-1] == id && cc.c.runs[n-1] < math.MaxUint32 {
+		cc.c.runs[n-1]++
+		return
+	}
+	cc.c.ids = append(cc.c.ids, id)
+	cc.c.runs = append(cc.c.runs, 1)
+}
+
 // addAccess is add for one access in kind mode.
 func (cc *chunkCompressor) addAccess(id uint64, k Kind) {
 	cc.c.accesses++
@@ -205,48 +215,59 @@ type ingestResult struct {
 }
 
 // parseDinInto decodes whole .din lines from b (the producer cuts at
-// line boundaries) with the same zero-allocation field split as
-// DinReader, feeding block IDs straight into cc. startLine numbers b's
-// first line, so errors name the same line NewDinReader would.
+// line boundaries), feeding block IDs straight into cc. startLine
+// numbers b's first line, so errors name the same line NewDinReader
+// would.
+//
+// The kernel scans each line once. Its fast path takes exactly the
+// shape DinWriter prints — one label digit 0-2, one space, 1 to 16 hex
+// digits, then the newline or the end of b — and never overflows,
+// since 16 digits fit 64 bits. Any other line (blank, other spacing,
+// "\r", a 0x prefix, a longer label or address, trailing fields, or
+// corrupt) goes to parseDinLine, DinReader's decode, which alone
+// builds errors; so both decoders accept the same lines and report the
+// same error on the same line.
 func parseDinInto(cc *chunkCompressor, b []byte, startLine int, off uint) error {
 	line := startLine - 1
-	for len(b) > 0 {
-		var ln []byte
-		if nl := bytes.IndexByte(b, '\n'); nl >= 0 {
-			ln, b = b[:nl], b[nl+1:]
-		} else {
-			ln, b = b, nil
-		}
+	for i := 0; i < len(b); {
 		line++
-		i := skipSpace(ln, 0)
-		if i == len(ln) {
+		if k := b[i] - '0'; k <= 2 && i+1 < len(b) && b[i+1] == ' ' {
+			j := i + 2
+			end := min(j+16, len(b))
+			var addr uint64
+			for ; j < end; j++ {
+				d := hexDigit[b[j]]
+				if d > 15 {
+					break
+				}
+				addr = addr<<4 | uint64(d)
+			}
+			if j > i+2 && (j == len(b) || b[j] == '\n') {
+				if cc.kinds {
+					cc.addAccess(addr>>off, Kind(k))
+				} else {
+					cc.addOne(addr >> off)
+				}
+				i = j + 1
+				continue
+			}
+		}
+		ln := b[i:]
+		if nl := bytes.IndexByte(ln, '\n'); nl >= 0 {
+			ln = ln[:nl]
+		}
+		i += len(ln) + 1
+		a, ok, err := parseDinLine(ln, line)
+		if err != nil {
+			return err
+		}
+		if !ok {
 			continue // blank line
 		}
-		labelStart := i
-		i = skipField(ln, i)
-		labelEnd := i
-		i = skipSpace(ln, i)
-		addrStart := i
-		i = skipField(ln, i)
-		addrEnd := i
-		if addrEnd == addrStart {
-			return &CorruptError{Format: "din", Line: line, Offset: -1,
-				Msg: fmt.Sprintf("need label and address, got %q", bytes.TrimSpace(ln))}
-		}
-		label, ok := parseLabel(ln[labelStart:labelEnd])
-		if !ok || !Kind(label).Valid() {
-			return &CorruptError{Format: "din", Line: line, Offset: -1,
-				Msg: fmt.Sprintf("bad label %q", ln[labelStart:labelEnd])}
-		}
-		addr, ok := parseHex(ln[addrStart:addrEnd])
-		if !ok {
-			return &CorruptError{Format: "din", Line: line, Offset: -1,
-				Msg: fmt.Sprintf("bad address %q", ln[addrStart:addrEnd])}
-		}
 		if cc.kinds {
-			cc.addAccess(addr>>off, Kind(label))
+			cc.addAccess(a.Addr>>off, a.Kind)
 		} else {
-			cc.add(addr>>off, 1)
+			cc.addOne(a.Addr >> off)
 		}
 	}
 	return nil

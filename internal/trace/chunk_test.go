@@ -191,6 +191,8 @@ func TestIngestDinBlankAndPrefixes(t *testing.T) {
 	}
 	spans := collectSpans(t, streamDinChunks(t, []byte(text), 4, false, 5))
 	sameBlockStream(t, "blank and prefixes", concatSpans(4, false, spans), want)
+	got, err := perLineMaterialize([]byte(text), 4, false)
+	sameDecode(t, "per-line", got, err, want, nil)
 }
 
 func TestIngestDinErrorLineNumbers(t *testing.T) {
@@ -208,6 +210,10 @@ func TestIngestDinErrorLineNumbers(t *testing.T) {
 	_, serr := MaterializeBlockStream(serialDin([]byte(text)), 4)
 	if serr == nil || serr.Error() != err.Error() {
 		t.Fatalf("serial error %q, span pipeline error %q", serr, err)
+	}
+	_, perr := perLineMaterialize([]byte(text), 4, false)
+	if perr == nil || perr.Error() != err.Error() {
+		t.Fatalf("per-line error %q, span pipeline error %q", perr, err)
 	}
 }
 

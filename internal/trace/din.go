@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 )
 
 // The Dinero .din trace format is one access per line:
@@ -57,44 +58,20 @@ func (d *DinReader) takeInput() io.Reader {
 // Next implements Reader. It returns io.EOF at end of input and a
 // descriptive error (with line number) on malformed input.
 //
-// The hot path is allocation-free: fields are located by an index-based
-// two-field split over the scanner's byte view (no per-line string or
-// field-slice allocation), and the label and address parse directly
-// from the bytes. Only error construction allocates.
+// The hot path is allocation-free: each line goes through
+// parseDinLine over the scanner's byte view. Only error construction
+// allocates.
 func (d *DinReader) Next() (Access, error) {
 	d.src = nil
 	for d.scanner.Scan() {
 		d.line++
-		b := d.scanner.Bytes()
-		// First field: the label.
-		i := skipSpace(b, 0)
-		if i == len(b) {
-			continue // blank line
+		a, ok, err := parseDinLine(d.scanner.Bytes(), d.line)
+		if err != nil {
+			return Access{}, err
 		}
-		labelStart := i
-		i = skipField(b, i)
-		labelEnd := i
-		// Second field: the address. Anything after it is ignored
-		// (Dinero IV tolerates trailing fields).
-		i = skipSpace(b, i)
-		addrStart := i
-		i = skipField(b, i)
-		addrEnd := i
-		if addrEnd == addrStart {
-			return Access{}, &CorruptError{Format: "din", Line: d.line, Offset: -1,
-				Msg: fmt.Sprintf("need label and address, got %q", bytes.TrimSpace(b))}
+		if ok {
+			return a, nil
 		}
-		label, ok := parseLabel(b[labelStart:labelEnd])
-		if !ok || !Kind(label).Valid() {
-			return Access{}, &CorruptError{Format: "din", Line: d.line, Offset: -1,
-				Msg: fmt.Sprintf("bad label %q", b[labelStart:labelEnd])}
-		}
-		addr, ok := parseHex(b[addrStart:addrEnd])
-		if !ok {
-			return Access{}, &CorruptError{Format: "din", Line: d.line, Offset: -1,
-				Msg: fmt.Sprintf("bad address %q", b[addrStart:addrEnd])}
-		}
-		return Access{Addr: addr, Kind: Kind(label)}, nil
 	}
 	if err := d.scanner.Err(); err != nil {
 		if errors.Is(err, bufio.ErrTooLong) {
@@ -104,6 +81,44 @@ func (d *DinReader) Next() (Access, error) {
 		return Access{}, err
 	}
 	return Access{}, io.EOF
+}
+
+// parseDinLine decodes one .din line, its newline removed, by the
+// generic two-field split: it reports ok false for a blank line, and a
+// *CorruptError naming line for a malformed one. Everything after the
+// address is ignored (Dinero IV tolerates trailing fields). It is the
+// whole of DinReader's line decode and the fallback of the chunk
+// kernel (parseDinInto), so both accept the same lines and word their
+// errors the same way.
+func parseDinLine(b []byte, line int) (a Access, ok bool, err error) {
+	// First field: the label.
+	i := skipSpace(b, 0)
+	if i == len(b) {
+		return Access{}, false, nil // blank line
+	}
+	labelStart := i
+	i = skipField(b, i)
+	labelEnd := i
+	// Second field: the address.
+	i = skipSpace(b, i)
+	addrStart := i
+	i = skipField(b, i)
+	addrEnd := i
+	if addrEnd == addrStart {
+		return Access{}, false, &CorruptError{Format: "din", Line: line, Offset: -1,
+			Msg: fmt.Sprintf("need label and address, got %q", bytes.TrimSpace(b))}
+	}
+	label, ok := parseLabel(b[labelStart:labelEnd])
+	if !ok || !Kind(label).Valid() {
+		return Access{}, false, &CorruptError{Format: "din", Line: line, Offset: -1,
+			Msg: fmt.Sprintf("bad label %q", b[labelStart:labelEnd])}
+	}
+	addr, ok := parseHex(b[addrStart:addrEnd])
+	if !ok {
+		return Access{}, false, &CorruptError{Format: "din", Line: line, Offset: -1,
+			Msg: fmt.Sprintf("bad address %q", b[addrStart:addrEnd])}
+	}
+	return Access{Addr: addr, Kind: Kind(label)}, true, nil
 }
 
 // skipSpace advances past ASCII whitespace from i.
@@ -152,24 +167,35 @@ func parseHex(b []byte) (uint64, bool) {
 	}
 	var v uint64
 	for _, c := range b {
-		var d uint64
-		switch {
-		case c >= '0' && c <= '9':
-			d = uint64(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = uint64(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			d = uint64(c-'A') + 10
-		default:
+		d := hexDigit[c]
+		if d > 15 {
 			return 0, false
 		}
 		if v >= 1<<60 {
 			return 0, false // next shift would overflow
 		}
-		v = v<<4 | d
+		v = v<<4 | uint64(d)
 	}
 	return v, true
 }
+
+// hexDigit maps a byte to its hexadecimal value, or to 0xff for a byte
+// that is not a hex digit.
+var hexDigit = func() (t [256]uint8) {
+	for c := range t {
+		switch {
+		case c >= '0' && c <= '9':
+			t[c] = uint8(c - '0')
+		case c >= 'a' && c <= 'f':
+			t[c] = uint8(c-'a') + 10
+		case c >= 'A' && c <= 'F':
+			t[c] = uint8(c-'A') + 10
+		default:
+			t[c] = 0xff
+		}
+	}
+	return t
+}()
 
 // ReadBatch implements BatchReader: it decodes up to len(dst) lines with
 // one call, so consumers pay one dynamic dispatch per batch instead of
@@ -190,20 +216,27 @@ func (d *DinReader) ReadBatch(dst []Access) (int, error) {
 
 // DinWriter encodes accesses in the .din format.
 type DinWriter struct {
-	w *bufio.Writer
+	w   *bufio.Writer
+	buf []byte // one encoded line, reused
 }
 
 // NewDinWriter returns a DinWriter targeting w. Call Flush when done.
 func NewDinWriter(w io.Writer) *DinWriter {
-	return &DinWriter{w: bufio.NewWriter(w)}
+	return &DinWriter{w: bufio.NewWriter(w), buf: make([]byte, 0, 24)}
 }
 
-// WriteAccess implements Writer.
+// WriteAccess implements Writer. Each line is the decimal kind, a
+// space and the lower-case hex address without a prefix — the bytes
+// fmt's "%d %x\n" would print — encoded without allocating.
 func (d *DinWriter) WriteAccess(a Access) error {
 	if !a.Kind.Valid() {
 		return fmt.Errorf("trace: cannot encode invalid kind %d", a.Kind)
 	}
-	_, err := fmt.Fprintf(d.w, "%d %x\n", a.Kind, a.Addr)
+	b := strconv.AppendUint(d.buf[:0], uint64(a.Kind), 10)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, a.Addr, 16)
+	d.buf = append(b, '\n')
+	_, err := d.w.Write(d.buf)
 	return err
 }
 

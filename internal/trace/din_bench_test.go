@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -75,4 +76,62 @@ func BenchmarkDinReader(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(lines), "ns/line")
+}
+
+// dinKernelInputs are the chunk kernel's benchmark and allocation
+// inputs: text in DinWriter's shape, which the fast path takes whole,
+// and dinInput's mix, two thirds of which falls back to parseDinLine.
+func dinKernelInputs(lines int) []struct {
+	name string
+	text []byte
+} {
+	return []struct {
+		name string
+		text []byte
+	}{
+		{"writer", dinText(pipelineTrace(rand.New(rand.NewSource(5)), lines))},
+		{"mixed", []byte(dinInput(lines))},
+	}
+}
+
+// TestDinParseChunkAllocFree pins the chunk kernel's allocations:
+// parsing a chunk into a recycled compressor, in either mode and on
+// either path, allocates nothing at all.
+func TestDinParseChunkAllocFree(t *testing.T) {
+	for _, in := range dinKernelInputs(4000) {
+		for _, kinds := range []bool{false, true} {
+			cc := new(chunkCompressor)
+			parse := func() {
+				cc.reset(kinds)
+				if err := parseDinInto(cc, in.text, 1, 4); err != nil {
+					t.Fatal(err)
+				}
+			}
+			parse() // size the columns
+			if allocs := testing.AllocsPerRun(20, parse); allocs != 0 {
+				t.Errorf("%s kinds=%v: parsing 4000 lines allocated %.1f times; want 0", in.name, kinds, allocs)
+			}
+		}
+	}
+}
+
+// BenchmarkDinParseChunk measures the chunk kernel (parseDinInto) over
+// a 64 KiB-class chunk into a recycled compressor, the unit of work the
+// parallel .din decode hands each worker.
+func BenchmarkDinParseChunk(b *testing.B) {
+	const lines = 6000
+	for _, in := range dinKernelInputs(lines) {
+		b.Run(in.name, func(b *testing.B) {
+			cc := new(chunkCompressor)
+			b.SetBytes(int64(len(in.text)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cc.reset(false)
+				if err := parseDinInto(cc, in.text, 1, 5); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(lines), "ns/line")
+		})
+	}
 }

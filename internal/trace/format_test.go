@@ -3,7 +3,10 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -71,6 +74,39 @@ func TestDinReaderErrors(t *testing.T) {
 				t.Fatalf("err = %v, want substring %q", err, c.sub)
 			}
 		})
+	}
+}
+
+// TestDinWriterMatchesFmt holds DinWriter's hand-rolled encoder to the
+// fmt form it replaces, "%d %x\n", byte for byte over seeded random
+// accesses whose addresses span every hex width from 1 to 16 digits.
+func TestDinWriterMatchesFmt(t *testing.T) {
+	const seed = 23
+	rng := rand.New(rand.NewSource(seed))
+	var got, want bytes.Buffer
+	w := NewDinWriter(&got)
+	for i := 0; i < 20000; i++ {
+		a := Access{Addr: rng.Uint64() >> rng.Intn(64), Kind: Kind(rng.Intn(3))}
+		switch i {
+		case 0:
+			a.Addr = 0
+		case 1:
+			a.Addr = math.MaxUint64
+		}
+		if err := w.WriteAccess(a); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&want, "%d %x\n", a.Kind, a.Addr)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		i := 0
+		for i < min(got.Len(), want.Len()) && got.Bytes()[i] == want.Bytes()[i] {
+			i++
+		}
+		t.Fatalf("seed %d: writer output differs from fmt at byte %d of %d", seed, i, want.Len())
 	}
 }
 

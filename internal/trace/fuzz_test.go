@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -30,6 +32,70 @@ func FuzzDinReader(f *testing.F) {
 				t.Fatalf("decoder produced invalid kind %d", a.Kind)
 			}
 		}
+	})
+}
+
+// FuzzDinLine holds the .din line decoders to the reference parser
+// (dinref_test.go) on one arbitrary line: the chunk kernel, fast path
+// and fallback, with and without a newline after the line, and
+// DinReader must accept exactly the lines the reference accepts, with
+// the same kind and address, and reject the rest with the same error
+// text.
+func FuzzDinLine(f *testing.F) {
+	for _, ln := range []string{
+		"0 1000", "2 4010e0", "1 ffffffffffffffff", "1 10000000000000000",
+		"0 00000000000000001", "2 0x40", "2 0X40", "02 40", "3 40", "1  40",
+		"1\t40", "1 40\r", "1 40 trailing", "", "   ", "1", "1 ", "x 40",
+		"1 4g", "256 1", "\v1\f2", "1 0x", "2 \xc2\xa040",
+	} {
+		f.Add([]byte(ln))
+	}
+	f.Fuzz(func(t *testing.T, ln []byte) {
+		if i := bytes.IndexByte(ln, '\n'); i >= 0 {
+			ln = ln[:i]
+		}
+		const line = 7
+		want, wantOK, werr := refParseDinLine(ln, line)
+		check := func(label string, a Access, ok bool, err error) {
+			t.Helper()
+			if (err == nil) != (werr == nil) || ok != wantOK {
+				t.Fatalf("%s on %q: ok %v, error %v; reference ok %v, error %v", label, ln, ok, err, wantOK, werr)
+			}
+			if err != nil && err.Error() != werr.Error() {
+				t.Fatalf("%s on %q: error %q, reference %q", label, ln, err, werr)
+			}
+			if ok && a != want {
+				t.Fatalf("%s on %q: %+v, reference %+v", label, ln, a, want)
+			}
+		}
+		a, ok, err := parseDinLine(ln, line)
+		check("parseDinLine", a, ok, err)
+
+		for _, text := range [][]byte{ln, append(bytes.Clone(ln), '\n')} {
+			cc := new(chunkCompressor)
+			cc.reset(true)
+			err := parseDinInto(cc, text, line, 0)
+			var a Access
+			switch n := len(cc.c.ids); {
+			case n > 1:
+				t.Fatalf("kernel on %q: %d runs from one line", text, n)
+			case n == 1:
+				a = Access{Addr: cc.c.ids[0], Kind: cc.c.kinds[0].FirstKind()}
+				if cc.c.kinds[0] != kindRunOf(a.Kind) || cc.c.accesses != 1 {
+					t.Fatalf("kernel on %q: run %+v of %d accesses", text, cc.c.kinds[0], cc.c.accesses)
+				}
+			}
+			check(fmt.Sprintf("kernel (newline %v)", len(text) > len(ln)), a, len(cc.c.ids) == 1, err)
+		}
+
+		d := NewDinReader(bytes.NewReader(append([]byte(strings.Repeat("\n", line-1)), ln...)))
+		a, err = d.Next()
+		if errors.Is(err, io.EOF) {
+			ok, err = false, nil
+		} else {
+			ok = err == nil
+		}
+		check("DinReader", a, ok, err)
 	})
 }
 
@@ -114,7 +180,8 @@ func FuzzRoundTrip(f *testing.F) {
 // FuzzDinCorrupt drives arbitrary bytes through the chunk-parallel din
 // decode: every failure must be a typed, position-carrying error from
 // the taxonomy in errors.go, and a failed decode must never emit a span
-// past the corruption.
+// past the corruption. DinReader's per-line decode must match the
+// reference too.
 func FuzzDinCorrupt(f *testing.F) {
 	f.Add("0 1000\n1 1004\n2 2000\n")
 	f.Add("0 zz\n")
@@ -129,6 +196,9 @@ func FuzzDinCorrupt(f *testing.F) {
 		checkCorruptDecode(t, p, func() (*BlockStream, error) {
 			return MaterializeBlockStream(serialDin([]byte(in)), 16)
 		})
+		want, werr := serialMaterialize([]byte(in), 16, false)
+		got, err := perLineMaterialize([]byte(in), 16, false)
+		sameDecode(t, "per-line", got, err, want, werr)
 	})
 }
 

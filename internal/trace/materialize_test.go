@@ -9,27 +9,6 @@ import (
 	"testing"
 )
 
-// serialDinReader hides the concrete *DinReader, so a materialization
-// over it runs the per-line DinReader loop instead of the chunk-parallel
-// parser: the serial reference every parallel decode is held to.
-type serialDinReader struct{ d *DinReader }
-
-func (s serialDinReader) Next() (Access, error)               { return s.d.Next() }
-func (s serialDinReader) ReadBatch(dst []Access) (int, error) { return s.d.ReadBatch(dst) }
-
-// serialDin returns the serial reference reader over .din text.
-func serialDin(text []byte) Reader {
-	return serialDinReader{NewDinReader(bytes.NewReader(text))}
-}
-
-// serialMaterialize is the serial reference decode of .din text.
-func serialMaterialize(text []byte, blockSize int, kinds bool) (*BlockStream, error) {
-	if kinds {
-		return MaterializeBlockStreamWithKinds(serialDin(text), blockSize)
-	}
-	return MaterializeBlockStream(serialDin(text), blockSize)
-}
-
 // sameDecode holds a decode to the serial reference: the same stream
 // column for column, or the identical error text.
 func sameDecode(t *testing.T, label string, got *BlockStream, err error, want *BlockStream, werr error) {
@@ -79,6 +58,8 @@ func TestMaterializeDinMatchesSerial(t *testing.T) {
 		}
 		got, err := materialize(NewDinReader(bytes.NewReader(text)), 16)
 		sameDecode(t, fmt.Sprintf("kinds=%v", kinds), got, err, want, nil)
+		got, err = materialize(perLineDin(text), 16)
+		sameDecode(t, fmt.Sprintf("per-line kinds=%v", kinds), got, err, want, nil)
 
 		// Through a wrapper: the parallel path, then one Next reporting
 		// the end of the input.
@@ -90,7 +71,7 @@ func TestMaterializeDinMatchesSerial(t *testing.T) {
 		}
 
 		for _, workers := range []int{1, 3} {
-			got, err := materializeDin(bytes.NewReader(text), 16, kinds, workers, 4096)
+			got, err := materializeDin(bytes.NewReader(text), 16, kinds, workers, 4096, 1000)
 			sameDecode(t, fmt.Sprintf("kinds=%v workers=%d", kinds, workers), got, err, want, nil)
 		}
 	}
@@ -101,7 +82,7 @@ func TestMaterializeDinMatchesSerial(t *testing.T) {
 	if _, err := d.Next(); err != nil {
 		t.Fatal(err)
 	}
-	rest := serialDinReader{NewDinReader(bytes.NewReader(text))}
+	rest := serialDin(text)
 	rest.Next()
 	want, _ := MaterializeBlockStream(rest, 16)
 	got, err := MaterializeBlockStream(d, 16)
@@ -124,7 +105,7 @@ func TestMaterializeDinMatchesSerial(t *testing.T) {
 // another at the start of the next: the first chunk's worker parses a
 // whole chunk before failing, the second fails at once, so the later
 // error usually arrives first. Every decode must still name the first
-// line, exactly as the serial DinReader does.
+// line, exactly as the reference and DinReader's per-line decode do.
 func TestDinErrorOrder(t *testing.T) {
 	const good, bad1, bad2 = "0 1000\n", "0 zzzz\n", "9 1000\n"
 	for _, chunkBytes := range []int{dinChunkBytes, 1 << 20} {
@@ -135,7 +116,7 @@ func TestDinErrorOrder(t *testing.T) {
 			t.Fatalf("serial error %v does not name line %d", werr, lines)
 		}
 		for i := 0; i < 20; i++ {
-			got, err := materializeDin(bytes.NewReader(text), 16, false, 2, chunkBytes)
+			got, err := materializeDin(bytes.NewReader(text), 16, false, 2, chunkBytes, defaultSegRuns)
 			sameDecode(t, fmt.Sprintf("materialized chunk=%d", chunkBytes), got, err, want, werr)
 			p := streamDinChunks(t, text, 16, false, chunkBytes)
 			drainSpans(p)
@@ -143,13 +124,15 @@ func TestDinErrorOrder(t *testing.T) {
 		}
 		got, err := MaterializeBlockStream(NewDinReader(bytes.NewReader(text)), 16)
 		sameDecode(t, "default materialized", got, err, want, werr)
+		got, err = perLineMaterialize(text, 16, false)
+		sameDecode(t, "per-line", got, err, want, werr)
 	}
 }
 
 // TestDinLongLine checks the line-length limit at its edge: a line of
 // maxDinLine bytes, newline included, decodes; one byte more is "line
-// too long" on that line, for the serial, materialized and streamed
-// decodes alike. An unterminated last line gets one byte less.
+// too long" on that line, for the reference, per-line, materialized
+// and streamed decodes alike. An unterminated last line gets one byte less.
 func TestDinLongLine(t *testing.T) {
 	long := func(n int, nl string) string { // an n-byte line, terminator included
 		return "0 1000" + strings.Repeat(" ", n-len("0 1000")-len(nl)) + nl
@@ -174,7 +157,9 @@ func TestDinLongLine(t *testing.T) {
 		}
 		got, err := MaterializeBlockStream(NewDinReader(bytes.NewReader(text)), 16)
 		sameDecode(t, label+" materialized", got, err, want, werr)
-		got, err = materializeDin(bytes.NewReader(text), 16, false, 2, 4096)
+		got, err = perLineMaterialize(text, 16, false)
+		sameDecode(t, label+" per-line", got, err, want, werr)
+		got, err = materializeDin(bytes.NewReader(text), 16, false, 2, 4096, defaultSegRuns)
 		sameDecode(t, label+" materialized 4 KiB chunks", got, err, want, werr)
 		for _, chunkBytes := range []int{4096, 1 << 20} {
 			p := streamDinChunks(t, text, 16, false, chunkBytes)
@@ -189,25 +174,31 @@ func TestDinLongLine(t *testing.T) {
 }
 
 // FuzzDinMaterialize holds the chunk-parallel materialization to the
-// serial decode over arbitrary bytes, with and without kinds, on 1-3
-// workers and tiny text chunks, so chunk boundaries fall inside runs,
-// inside lines and inside blank stretches: the same stream column for
-// column, or the identical error.
+// reference decode over arbitrary bytes, with and without kinds, on
+// 1-3 workers, tiny text chunks and tiny collect segments, so chunk
+// boundaries fall inside runs, inside lines and inside blank stretches
+// and segments seal every few runs: the same stream column for column,
+// or the identical error. DinReader's per-line decode is held to the
+// same reference.
 func FuzzDinMaterialize(f *testing.F) {
-	f.Add([]byte("0 1000\n1 1004\n2 2000\n"), uint8(0), uint8(3))
-	f.Add([]byte(strings.Repeat("2 40\n2 44\n0 4c\n", 40)), uint8(0x81), uint8(1))
-	f.Add([]byte("2 40\n\n  1   80  trailing junk\r\n0 a0"), uint8(0x42), uint8(7))
-	f.Add([]byte("0 1000\n0 zz\n1 2000\nbogus\n"), uint8(0x13), uint8(2))
-	f.Add([]byte("0 0x1000\n0 1000\n1 1\n9 2\n"), uint8(0x84), uint8(0))
-	f.Add([]byte{}, uint8(0), uint8(0))
-	f.Fuzz(func(t *testing.T, text []byte, mode, chunk uint8) {
+	f.Add([]byte("0 1000\n1 1004\n2 2000\n"), uint8(0), uint8(3), uint8(0))
+	f.Add([]byte(strings.Repeat("2 40\n2 44\n0 4c\n", 40)), uint8(0x81), uint8(1), uint8(1))
+	f.Add([]byte(strings.Repeat("2 40\n2 44\n0 4c\n", 40)), uint8(0x00), uint8(5), uint8(3))
+	f.Add([]byte("2 40\n\n  1   80  trailing junk\r\n0 a0"), uint8(0x42), uint8(7), uint8(0))
+	f.Add([]byte("0 1000\n0 zz\n1 2000\nbogus\n"), uint8(0x13), uint8(2), uint8(0))
+	f.Add([]byte("0 0x1000\n0 1000\n1 1\n9 2\n"), uint8(0x84), uint8(0), uint8(2))
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, text []byte, mode, chunk, seg uint8) {
 		kinds := mode&0x80 != 0
 		workers := 1 + int(mode%3)
 		block := 1 << ((mode >> 2) % 6)
 		chunkBytes := 1 + int(chunk%32)
+		segRuns := 2 + int(seg%64)
 		want, werr := serialMaterialize(text, block, kinds)
-		got, err := materializeDin(bytes.NewReader(text), block, kinds, workers, chunkBytes)
-		sameDecode(t, fmt.Sprintf("kinds=%v workers=%d block=%d chunk=%d", kinds, workers, block, chunkBytes),
+		got, err := materializeDin(bytes.NewReader(text), block, kinds, workers, chunkBytes, segRuns)
+		sameDecode(t, fmt.Sprintf("kinds=%v workers=%d block=%d chunk=%d seg=%d", kinds, workers, block, chunkBytes, segRuns),
 			got, err, want, werr)
+		got, err = perLineMaterialize(text, block, kinds)
+		sameDecode(t, fmt.Sprintf("per-line kinds=%v block=%d", kinds, block), got, err, want, werr)
 	})
 }

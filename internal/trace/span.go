@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -41,18 +42,19 @@ import (
 // # Materialization
 //
 // The same engine is MaterializeBlockStream's .din decode: with the
-// stitcher in collect mode nothing is ever cut into spans, and the
-// pending stream it has accumulated at the end is the materialized
-// BlockStream itself, handed over without a copy.
+// stitcher in collect mode nothing is ever cut into spans. The stream
+// accumulates in fixed-size segments, never regrown, and is
+// concatenated once at exact size when the decode ends.
 //
 // # Memory
 //
 // At most workers+2 chunks are in flight between producer and
-// stitcher, and their buffers are recycled: a .din text buffer returns
-// to the pipeline's free list once its chunk is parsed, a compressor's
-// columns once the stitcher has appended them. Steady-state text decode
-// therefore allocates nothing per chunk, and the working set beyond
-// the stitched stream is a few chunks.
+// stitcher, and their buffers are recycled: a .din text buffer or a
+// reader's access buffer returns to the pipeline's free list once its
+// chunk is decoded, a compressor's columns once the stitcher has
+// appended them. Steady-state decode therefore allocates nothing per
+// chunk, and the working set beyond the stitched stream is a few
+// chunks.
 //
 // Spans are recycled the same way when ReplaySpans consumes them: once
 // the fold and every base-rung simulator have released a span, it
@@ -128,6 +130,7 @@ type StreamPipeline struct {
 
 	// Recycled per-chunk buffers and spans (see "Memory" above).
 	text  freeList[[]byte]
+	accs  freeList[[]Access]
 	cols  freeList[*chunkCompressor]
 	spanP spanPool
 
@@ -206,18 +209,56 @@ func spanGeometry(memBytes int64, workers int, kinds bool) (spanRuns, chunkAcc i
 }
 
 // spanStitcher consumes runChunks in stream order, maintains the
-// pending tail stream, and emits final runs as spans. In collect mode
-// it never emits: pend accumulates the whole stream, which is the
-// materialized result once the pipeline ends cleanly.
+// pending tail stream, and emits final runs as spans.
+//
+// In collect mode (segRuns > 0) it never emits: the whole stream
+// accumulates, the materialized result once the pipeline ends cleanly
+// (collected). So that a long stream is not copied over and over by
+// append's regrowth, pend is then a live segment of at most segRuns
+// runs. When it is full, every run but the mutable tail is sealed into
+// segs and the tail starts a fresh segment allocated at full size;
+// collected concatenates the segments once, at exact size.
 type spanStitcher struct {
 	pend     BlockStream // pending runs; only the last is mutable
 	start    uint64      // access offset of pend's first access
 	seq      int
 	spanRuns int
 	kinds    bool
-	collect  bool
+	segRuns  int           // collect mode's segment size in runs; 0 streams spans
+	segs     []BlockStream // collect mode's sealed segments, in order
 	spans    *spanPool
 	emit     func(*Span) error
+}
+
+// defaultSegRuns is collect mode's segment size: 2^18 runs, 3 MiB of
+// ID and run columns (8 MiB with kinds) — few enough segments that
+// sealing costs nothing measurable, small enough that the one partly
+// filled segment wastes little.
+const defaultSegRuns = 1 << 18
+
+// makeRoom returns how many runs pend takes before it must grow.
+// Streaming, pend grows freely (span cuts keep it short). Collecting, a
+// full live segment is sealed first, so the room is at least one run.
+func (st *spanStitcher) makeRoom() int {
+	if st.segRuns == 0 {
+		return math.MaxInt
+	}
+	p := &st.pend
+	n := len(p.IDs)
+	if n < st.segRuns {
+		return st.segRuns - n
+	}
+	st.segs = append(st.segs, BlockStream{IDs: p.IDs[:n-1], Runs: p.Runs[:n-1]})
+	ids, runs := make([]uint64, 1, st.segRuns), make([]uint32, 1, st.segRuns)
+	ids[0], runs[0] = p.IDs[n-1], p.Runs[n-1]
+	p.IDs, p.Runs = ids, runs
+	if st.kinds {
+		st.segs[len(st.segs)-1].Kinds = p.Kinds[:n-1]
+		kinds := make([]KindRun, 1, st.segRuns)
+		kinds[0] = p.Kinds[n-1]
+		p.Kinds = kinds
+	}
+	return st.segRuns - 1
 }
 
 // add appends one chunk in stream order: chunk edges replay through the
@@ -225,7 +266,10 @@ type spanStitcher struct {
 // neighbours — bulk-appends.
 func (st *spanStitcher) add(c *runChunk) error {
 	p := &st.pend
+	// An edge record adds at most one run: its weight is below the
+	// uint32 limit, so what overflows the tail fits one new run.
 	appendEdge := func(i int) {
+		st.makeRoom()
 		if st.kinds {
 			p.appendKindRun(c.ids[i], c.kinds[i])
 		} else {
@@ -235,15 +279,17 @@ func (st *spanStitcher) add(c *runChunk) error {
 	for i := 0; i < c.head; i++ {
 		appendEdge(i)
 	}
-	if c.tail > c.head {
-		p.IDs = append(p.IDs, c.ids[c.head:c.tail]...)
-		p.Runs = append(p.Runs, c.runs[c.head:c.tail]...)
+	for lo := c.head; lo < c.tail; {
+		hi := lo + min(c.tail-lo, st.makeRoom())
+		p.IDs = append(p.IDs, c.ids[lo:hi]...)
+		p.Runs = append(p.Runs, c.runs[lo:hi]...)
 		if st.kinds {
-			p.Kinds = append(p.Kinds, c.kinds[c.head:c.tail]...)
+			p.Kinds = append(p.Kinds, c.kinds[lo:hi]...)
 		}
-		for _, w := range c.runs[c.head:c.tail] {
+		for _, w := range c.runs[lo:hi] {
 			p.Accesses += uint64(w)
 		}
+		lo = hi
 	}
 	for i := max(c.tail, c.head); i < len(c.ids); i++ {
 		appendEdge(i)
@@ -251,11 +297,37 @@ func (st *spanStitcher) add(c *runChunk) error {
 	return st.flush(false)
 }
 
+// collected returns the stream a collecting stitcher has accumulated:
+// its sealed segments and the live one, concatenated at exact size.
+func (st *spanStitcher) collected() *BlockStream {
+	if len(st.segs) == 0 {
+		return &st.pend
+	}
+	segs := append(st.segs, st.pend)
+	n := 0
+	for _, sg := range segs {
+		n += len(sg.IDs)
+	}
+	bs := &BlockStream{BlockSize: st.pend.BlockSize, Accesses: st.pend.Accesses,
+		IDs: make([]uint64, 0, n), Runs: make([]uint32, 0, n)}
+	if st.kinds {
+		bs.Kinds = make([]KindRun, 0, n)
+	}
+	for _, sg := range segs {
+		bs.IDs = append(bs.IDs, sg.IDs...)
+		bs.Runs = append(bs.Runs, sg.Runs...)
+		if st.kinds {
+			bs.Kinds = append(bs.Kinds, sg.Kinds...)
+		}
+	}
+	return bs
+}
+
 // flush emits spans of up to spanRuns final runs. While the stream may
 // continue the mutable tail run is withheld; finish passes final to
 // drain everything. A collecting stitcher keeps everything pending.
 func (st *spanStitcher) flush(final bool) error {
-	if st.collect {
+	if st.segRuns > 0 {
 		return nil
 	}
 	for {
@@ -379,6 +451,7 @@ func newStreamPipeline(blockSize int, opts SpanOptions) (*StreamPipeline, *spanS
 		kinds:    opts.Kinds,
 	}
 	p.text = make(freeList[[]byte], p.inFlight())
+	p.accs = make(freeList[[]Access], p.inFlight())
 	p.cols = make(freeList[*chunkCompressor], p.inFlight())
 	p.spanP.free = make(freeList[*Span], maxSpansCut)
 	st := &spanStitcher{
@@ -579,7 +652,10 @@ func (p *StreamPipeline) readerProducer(r Reader, blockSize int, chunkSize int) 
 	return func(emit func(ingestJob) bool) error {
 		br := Batch(r)
 		for seq := 0; ; seq++ {
-			buf := make([]Access, chunkSize)
+			buf := p.accs.get()
+			if buf == nil {
+				buf = make([]Access, chunkSize)
+			}
 			filled := 0
 			var err error
 			for filled < chunkSize {
@@ -593,6 +669,7 @@ func (p *StreamPipeline) readerProducer(r Reader, blockSize int, chunkSize int) 
 			if filled > 0 {
 				accs := buf[:filled]
 				if !emit(ingestJob{seq: seq, run: func(cc *chunkCompressor) error {
+					defer p.accs.put(buf)
 					if cc.kinds {
 						for _, a := range accs {
 							if !a.Kind.Valid() {
@@ -602,7 +679,7 @@ func (p *StreamPipeline) readerProducer(r Reader, blockSize int, chunkSize int) 
 						}
 					} else {
 						for _, a := range accs {
-							cc.add(a.Addr>>off, 1)
+							cc.addOne(a.Addr >> off)
 						}
 					}
 					return nil
@@ -702,13 +779,13 @@ func fillDin(r io.Reader, buf []byte) ([]byte, error) {
 // materializeDin decodes .din text into a BlockStream with the span
 // pipeline's chunk-parallel parse, the stitcher collecting instead of
 // cutting spans. workers <= 0 means GOMAXPROCS; chunkBytes sizes the
-// text chunks.
-func materializeDin(r io.Reader, blockSize int, kinds bool, workers, chunkBytes int) (*BlockStream, error) {
+// text chunks and segRuns (at least 2) the stitcher's segments.
+func materializeDin(r io.Reader, blockSize int, kinds bool, workers, chunkBytes, segRuns int) (*BlockStream, error) {
 	p, st, err := newStreamPipeline(blockSize, SpanOptions{Workers: workers, Kinds: kinds})
 	if err != nil {
 		return nil, err
 	}
-	st.collect = true
+	st.segRuns = max(2, segRuns)
 	// MaterializeBlockStream takes no context; the decode runs to the
 	// end of its input or its first error.
 	p.start(context.TODO(), st, p.dinProducer(r, blockSize, chunkBytes))
@@ -716,7 +793,7 @@ func materializeDin(r io.Reader, blockSize int, kinds bool, workers, chunkBytes 
 	if err := p.Err(); err != nil {
 		return nil, err
 	}
-	return &st.pend, nil
+	return st.collected(), nil
 }
 
 // StreamFileSpans starts a span pipeline over a trace file opened as

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -152,6 +153,32 @@ func TestStreamSpansGeometry(t *testing.T) {
 	}
 	if _, err := StreamSpans(context.Background(), Trace{}.NewSliceReader(), 3, SpanOptions{}); err == nil {
 		t.Error("want error for non-power-of-two block size")
+	}
+}
+
+// TestReaderChunksRecycled streams a generic reader through many
+// minimum-size decode chunks and checks that their access buffers are
+// recycled: one buffer per chunk would allocate about 5 MB here, the
+// free list a few hundred KB at most.
+func TestReaderChunksRecycled(t *testing.T) {
+	const chunks = 320
+	tr := make(Trace, chunks*1024) // one block: few runs, few spans
+	p, err := StreamSpans(context.Background(), tr.NewSliceReader(), 16, SpanOptions{MemBytes: 1, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.chunkAcc != 1024 {
+		t.Fatalf("chunk of %d accesses, want the 1024 minimum", p.chunkAcc)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	spans := collectSpans(t, p)
+	runtime.ReadMemStats(&after)
+	if got := concatSpans(16, false, spans); got.Accesses != uint64(len(tr)) {
+		t.Fatalf("streamed %d accesses, want %d", got.Accesses, len(tr))
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("streaming %d chunks allocated %d bytes; want < 1 MiB with recycled access buffers", chunks, alloc)
 	}
 }
 

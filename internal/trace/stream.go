@@ -250,7 +250,7 @@ func unreadDinInput(r Reader) io.Reader {
 // end of the per-line loop, so a wrapper that releases resources at
 // io.EOF does so.
 func materializeDinReader(r Reader, src io.Reader, blockSize int, kinds bool) (*BlockStream, error) {
-	bs, err := materializeDin(src, blockSize, kinds, 0, dinChunkBytes)
+	bs, err := materializeDin(src, blockSize, kinds, 0, dinChunkBytes, defaultSegRuns)
 	_, _ = r.Next() // io.EOF: the input is consumed
 	return bs, err
 }
